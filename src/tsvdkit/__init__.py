@@ -10,7 +10,7 @@ from .algebra import (
     transpose,
     tube_mult,
 )
-from .completion import AdmmConfig, SolveReport, complete, project_constraint, rse_db, shrink_step, svt
+from .completion import AdmmConfig, SolveReport, complete, rse_db, shrink_step, svt
 from .compression import (
     CompressionResult,
     compress,
@@ -28,7 +28,6 @@ from .errors import (
     FormatError,
     InfeasibleError,
     NumericalError,
-    SpectralSymmetryError,
     TsvdkitError,
     UndefinedMetricError,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "NumericalError",
     "SamplingOperator",
     "SolveReport",
-    "SpectralSymmetryError",
     "TSvdFactors",
     "TsvdkitError",
     "UndefinedMetricError",
@@ -65,7 +63,6 @@ __all__ = [
     "is_orthogonal",
     "k_for_ratio",
     "multi_rank",
-    "project_constraint",
     "random_low_tubal_rank",
     "rse_db",
     "shrink_step",

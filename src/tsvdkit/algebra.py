@@ -70,11 +70,9 @@ def t_product(a, b) -> np.ndarray:
         raise DimensionError(
             f"inner extents do not match: {a.shape[1]} vs {b.shape[0]}"
         )
-    a_hat = transforms.merge_trailing(transforms.fft_mode3(a))
-    b_hat = transforms.merge_trailing(transforms.fft_mode3(b))
-    c_hat = np.matmul(np.moveaxis(a_hat, 2, 0), np.moveaxis(b_hat, 2, 0))
-    c_hat = transforms.unmerge_trailing(np.moveaxis(c_hat, 0, 2), a.shape[2:])
-    return transforms.ifft_mode3(c_hat)
+    a_hat = transforms.to_stack(transforms.fft_mode3(a))
+    b_hat = transforms.to_stack(transforms.fft_mode3(b))
+    return transforms.ifft_stack(a_hat @ b_hat, a.shape[2:])
 
 
 def t_product_reference(a, b) -> np.ndarray:

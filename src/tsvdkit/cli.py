@@ -34,7 +34,6 @@ from .errors import (
     FormatError,
     InfeasibleError,
     NumericalError,
-    SpectralSymmetryError,
     TsvdkitError,
     UndefinedMetricError,
 )
@@ -50,7 +49,6 @@ _INPUT_ERRORS = (
     DataError,
     DimensionError,
     FormatError,
-    SpectralSymmetryError,
     UndefinedMetricError,
     OSError,
 )
@@ -187,7 +185,6 @@ def _cmd_complete(args) -> dict:
         rho=args.rho,
         max_iter=args.max_iter,
         tol_primal=args.tol,
-        tol_fit=args.tol_fit,
         positivity=args.positivity,
     )
     recovered, report = complete(observed, sampler, config, truth=truth)
@@ -205,7 +202,6 @@ def _cmd_complete(args) -> dict:
     params = {
         "rho": args.rho,
         "tol_primal": args.tol,
-        "tol_fit": args.tol_fit,
         "max_iter": args.max_iter,
         "positivity": args.positivity,
         "mask": args.mask,
@@ -278,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     compl.add_argument("--seed", type=int, default=0, help="mask seed for --sample-rate")
     compl.add_argument("--rho", type=float, default=1.0)
     compl.add_argument("--tol", type=float, default=1e-7)
-    compl.add_argument("--tol-fit", type=float, default=1e-15)
     compl.add_argument("--max-iter", type=int, default=1000)
     compl.add_argument("--positivity", action="store_true")
     compl.add_argument("--truth", help="ground-truth tensor file for RSE reporting")

@@ -33,23 +33,20 @@ class AdmmConfig:
     ``rho`` is the penalty parameter; the shrinkage threshold is ``1/rho``.
     Iteration stops when the relative primal residual
     ``|x - z|_F / max(1, |x|_F)`` drops below ``tol_primal`` (or at
-    ``max_iter``).  ``tol_fit`` is a secondary stop on the relative data
-    misfit of the shrunk iterate; its default is small enough to never
-    preempt the primal rule.  With ``positivity`` set, negative entries are
-    clamped to zero after the constraint projection each iteration.
+    ``max_iter``).  With ``positivity`` set, negative entries are clamped to
+    zero after the constraint projection each iteration.
     """
 
     rho: float = 1.0
     max_iter: int = 1000
     tol_primal: float = 1e-7
-    tol_fit: float = 1e-15
     positivity: bool = False
 
     def __post_init__(self):
         if not self.rho > 0:
             raise DataError(f"rho must be positive, got {self.rho}")
-        if not self.tol_primal > 0 or not self.tol_fit > 0:
-            raise DataError("tolerances must be positive")
+        if not self.tol_primal > 0:
+            raise DataError(f"tol_primal must be positive, got {self.tol_primal}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -83,70 +80,27 @@ def svt(w, tau: float) -> np.ndarray:
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
 
-def _shrink_merged(w_hat_m: np.ndarray, tau: float, partner: np.ndarray):
-    """Slice-wise svt on a merged spectral stack, mirroring conjugate pairs.
-
-    Returns the shrunk stack and the nuclear norm of the result (the summed
-    thresholded singular values over all slices).
-    """
-    out = np.zeros_like(w_hat_m)
-    total = 0.0
-    for j in range(w_hat_m.shape[2]):
-        p = int(partner[j])
-        if p < j:
-            continue
-        slab_in = w_hat_m[:, :, j]
-        # A self-paired slice of a valid spectrum is real up to rounding;
-        # shrinking its real part keeps the output spectrum exactly symmetric.
-        real_path = p == j and float(np.abs(slab_in.imag).max()) <= (
-            transforms.IMAG_RESIDUE_RTOL * (1.0 + float(np.abs(slab_in.real).max()))
-        )
-        try:
-            u, s, vh = np.linalg.svd(slab_in.real if real_path else slab_in, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD failed on spectral slice {j}: {exc}") from exc
-        shrunk = np.maximum(s - tau, 0.0)
-        slab = (u * shrunk) @ vh
-        out[:, :, j] = slab
-        total += shrunk.sum()
-        if p != j:
-            out[:, :, p] = slab.conj()
-            total += shrunk.sum()
-    return out, total
+def _shrink(w_stack: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """svt on every slice of a spectral stack; returns the shrunk stack and
+    the thresholded singular values, one row per slice."""
+    u, s, vh = transforms.svd_slices(w_stack, full_matrices=False)
+    shrunk = np.maximum(s - tau, 0.0)
+    return (u * shrunk[:, None, :]) @ vh, shrunk
 
 
 def shrink_step(w_hat, tau: float) -> np.ndarray:
-    """Apply svt to every frontal slice of a spectral tensor.
+    """Apply svt to every stored frontal slice of a half spectrum.
 
-    Conjugate-partner slices are mirrored rather than recomputed, so a
-    conjugate-symmetric input stays exactly symmetric.  Equivalent, in the
-    original domain, to convolving each singular tube with the gain tube whose
-    spectrum is ``(1 - tau/sigma)_+``.
+    Equivalent, in the original domain, to convolving each singular tube with
+    the gain tube whose spectrum is ``(1 - tau/sigma)_+``.
     """
     w_hat = np.asarray(w_hat, dtype=np.complex128)
     if w_hat.ndim < 3:
         raise DimensionError(f"expected order >= 3, got order {w_hat.ndim}")
     if tau < 0:
         raise DataError(f"threshold must be nonnegative, got {tau}")
-    partner = transforms.conjugate_partner_map(w_hat.shape[2:])
-    merged = transforms.merge_trailing(w_hat)
-    out, _ = _shrink_merged(merged, tau, partner)
-    return transforms.unmerge_trailing(out, w_hat.shape[2:])
-
-
-def project_constraint(sampler: transforms.SamplingOperator, y, w) -> np.ndarray:
-    """Least-squares projection onto ``{x : P(x) = y}``.
-
-    Returns ``y`` on observed entries (bit-exactly) and ``w`` elsewhere.
-    ``y`` must vanish off the mask.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    sampler._check_dims(y)
-    sampler._check_dims(w)
-    if np.any(y[~sampler.mask] != 0.0):
-        raise DataError("observed data has nonzero entries outside the mask")
-    return np.where(sampler.mask, y, w)
+    out, _ = _shrink(transforms.to_stack(w_hat), tau)
+    return transforms.from_stack(out, w_hat.shape[2:])
 
 
 def complete(y, mask, config: AdmmConfig | None = None, truth=None):
@@ -172,6 +126,9 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
 
     Raises
     ------
+    NumericalError
+        If the transformed iterate is not finite (it overflowed) or a slice
+        SVD fails to converge.
     DivergenceError
         If an iterate stops being finite; carries the iteration index.
     """
@@ -184,8 +141,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
 
     tau = 1.0 / cfg.rho
     trailing = y.shape[2:]
-    partner = transforms.conjugate_partner_map(trailing)
-    norm_y = frobenius(y)
+    weights = transforms.slice_weights(trailing)
 
     x = y.copy()
     z = y.copy()
@@ -198,9 +154,8 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         x = np.where(sampler.mask, y, z - q)
         if cfg.positivity:
             x = np.maximum(x, 0.0)
-        w_hat = transforms.merge_trailing(transforms.fft_mode3(x + q))
-        z_hat, tnn_value = _shrink_merged(w_hat, tau, partner)
-        z = transforms.ifft_mode3(transforms.unmerge_trailing(z_hat, trailing))
+        z_stack, shrunk = _shrink(transforms.to_stack(transforms.fft_mode3(x + q)), tau)
+        z = transforms.ifft_stack(z_stack, trailing)
         q = q + x - z
         if not (np.isfinite(z).all() and np.isfinite(q).all()):
             raise DivergenceError(
@@ -208,12 +163,8 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
             )
         residual = frobenius(x - z) / max(1.0, frobenius(x))
         residuals.append(residual)
-        tnn_values.append(tnn_value)
+        tnn_values.append(float(shrunk.sum(axis=1) @ weights))
         if residual <= cfg.tol_primal:
-            converged = True
-            break
-        fit = frobenius(sampler.apply(z) - y) / max(1.0, norm_y)
-        if fit <= cfg.tol_fit:
             converged = True
             break
 

@@ -13,11 +13,13 @@ Three schemes over an ``n1 x n2 x n3`` tensor:
 
 Every scheme serializes to exactly as many retained scalars as its ratio
 denominator counts.  For ``tsvd`` this is achieved with uniform
-``(1 + n1 + n2)``-real records: a self-paired spectral entry stores its real
-columns directly, a conjugate pair stores real/imaginary column parts across
-two records (the pair is kept or dropped together, so reconstructions stay
-real), and a budget remainder of one slot stores the best real rank-1 summary
-of the leading remaining candidate.
+``(1 + n1 + n2)``-real records over the stored half spectrum: an entry of a
+real slice (0 and, for even n3, n3/2) stores its real columns directly (one
+``SELF`` record), an entry of a complex slice stands for itself and its
+conjugate and stores real/imaginary column parts across two records (the
+pair is kept or dropped together, so reconstructions stay real), and a
+budget remainder of one slot stores the best real rank-1 summary of the
+leading remaining candidate.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import transforms
 from .algebra import check_tensor
 from .completion import rse_db
 from .decomposition import t_svd, truncate
-from .errors import DimensionError, InfeasibleError
+from .errors import DimensionError, FormatError, InfeasibleError
 
 METHODS = ("svd", "tsvd", "tsvd_tubal")
 
@@ -166,124 +168,115 @@ def compress_svd(m, k1: int) -> CompressionResult:
 
 
 def _select_tsvd_records(sig: np.ndarray, u_hat: np.ndarray, v_hat: np.ndarray,
-                         partner: np.ndarray, k2: int):
-    """Pick the ``k2`` largest spectral f-diagonal entries with conjugate
-    pairs kept atomically, emitting one uniform record per budget unit.
+                         real: np.ndarray, k2: int):
+    """Pick the ``k2`` largest spectral f-diagonal entries, emitting one
+    uniform record per budget unit.
 
-    Records are ``(kind, slice, diag, scalar, u_part, v_part)`` with
-    ``u_part``/``v_part`` real vectors of lengths n1/n2.  A remainder slot is
-    filled by whichever captures more energy: the best real rank-1 summary of
-    the straddled pair, or the largest remaining self-paired entry.
+    ``sig`` is ``(slices, n0)`` over the stored half spectrum and ``real``
+    marks its real slices.  An entry of a real slice is one ``SELF`` record;
+    one of a complex slice stands for itself and its conjugate, and costs a
+    ``PAIR_RE``/``PAIR_IM`` record pair.  Records are ``(kind, slice, diag,
+    scalar, u_part, v_part)`` with ``u_part``/``v_part`` real vectors of
+    lengths n1/n2.  A remainder slot is filled by whichever captures more
+    energy: the best real rank-1 summary of the straddled pair, or the
+    largest remaining real-slice entry.
     """
-    n0, rho = sig.shape
+    rho, n0 = sig.shape
     order = sorted(
         ((i, j) for i in range(n0) for j in range(rho)),
-        key=lambda ij: (-sig[ij[0], ij[1]], ij[1], ij[0]),
+        key=lambda ij: (-sig[ij[1], ij[0]], ij[1], ij[0]),
     )
-    taken = set()
-    records = []
-    budget = k2
+
+    def self_record(i, j):
+        return (SELF, j, i, float(sig[j, i]), u_hat[j, :, i].real.copy(), v_hat[j, :, i].real.copy())
 
     def half_record(i, j):
         # Best real rank-1 approximation of the real part of the pair's
         # rank-1 spectral contribution; never increases the error.
-        contrib = sig[i, j] * np.outer(u_hat[:, i, j], v_hat[:, i, j].conj())
+        contrib = sig[j, i] * np.outer(u_hat[j, :, i], v_hat[j, :, i].conj())
         uu, ss, vvh = np.linalg.svd(contrib.real)
         return (HALF, j, i, float(ss[0]), uu[:, 0].copy(), vvh[0, :].copy())
 
-    pos = 0
-    while budget > 0 and pos < len(order):
-        i, j = order[pos]
-        pos += 1
-        if (i, j) in taken:
-            continue
-        p = int(partner[j])
-        if p == j:
-            records.append((SELF, j, i, float(sig[i, j]),
-                            u_hat[:, i, j].real.copy(), v_hat[:, i, j].real.copy()))
-            taken.add((i, j))
-            budget -= 1
-            continue
-        lo = min(j, p)
-        if budget >= 2:
-            records.append((PAIR_RE, lo, i, float(sig[i, lo]),
-                            u_hat[:, i, lo].real.copy(), v_hat[:, i, lo].real.copy()))
-            records.append((PAIR_IM, lo, i, float(sig[i, lo]),
-                            u_hat[:, i, lo].imag.copy(), v_hat[:, i, lo].imag.copy()))
-            taken.add((i, j))
-            taken.add((i, p))
-            budget -= 2
-            continue
-        # One slot left and the next candidate is a pair: compare the pair's
-        # real rank-1 summary against the largest remaining self-paired entry.
-        half = half_record(i, lo)
-        single = None
-        for i2, j2 in order[pos:]:
-            if (i2, j2) in taken or int(partner[j2]) != j2:
-                continue
-            single = (SELF, j2, i2, float(sig[i2, j2]),
-                      u_hat[:, i2, j2].real.copy(), v_hat[:, i2, j2].real.copy())
+    records = []
+    budget = k2
+    for pos, (i, j) in enumerate(order):
+        if budget == 0:
             break
-        if single is not None and single[3] >= half[3]:
-            records.append(single)
-            taken.add((single[2], single[1]))
+        if real[j]:
+            records.append(self_record(i, j))
+            budget -= 1
+        elif budget >= 2:
+            records.append((PAIR_RE, j, i, float(sig[j, i]),
+                            u_hat[j, :, i].real.copy(), v_hat[j, :, i].real.copy()))
+            records.append((PAIR_IM, j, i, float(sig[j, i]),
+                            u_hat[j, :, i].imag.copy(), v_hat[j, :, i].imag.copy()))
+            budget -= 2
         else:
-            records.append(half)
-            taken.add((i, j))
-        budget -= 1
+            # One slot left and the next candidate is a pair: compare the
+            # pair's real rank-1 summary against the largest remaining entry
+            # of a real slice.
+            half = half_record(i, j)
+            single = next((self_record(i2, j2) for i2, j2 in order[pos + 1:] if real[j2]), None)
+            records.append(single if single is not None and single[3] >= half[3] else half)
+            budget -= 1
     return records
 
 
 def _decode_tsvd_records(records, dims) -> np.ndarray:
-    """Rebuild the real reconstruction from uniform spectral records."""
+    """Rebuild the real reconstruction from uniform spectral records.
+
+    Raises
+    ------
+    FormatError
+        If a record has an unknown kind, an out-of-range ``(slice, diag)``,
+        a kind that does not fit its slice (``SELF`` only on real slices), or
+        a pair half without its other half.
+    """
     n1, n2, n3 = dims
-    merged = np.zeros((n1, n2, n3), dtype=np.complex128)
-    partner = transforms.conjugate_partner_map((n3,))
+    real = transforms.real_slices((n3,))
+    stack = np.zeros((real.size, n1, n2), dtype=np.complex128)
     pending = {}
     for kind, j, i, scalar, u_part, v_part in records:
-        p = int(partner[j])
-        if kind == SELF:
-            merged[:, :, j] += scalar * np.outer(u_part, v_part)
-        elif kind == HALF:
-            slab = scalar * np.outer(u_part, v_part)
-            merged[:, :, j] += slab
-            merged[:, :, p] += slab
+        if kind not in (SELF, PAIR_RE, PAIR_IM, HALF):
+            raise FormatError(f"unknown tsvd record kind {kind}")
+        if not (j < real.size and i < min(n1, n2)):
+            raise FormatError(f"tsvd record (slice {j}, diag {i}) out of range for dims {dims}")
+        if (kind == SELF) != real[j]:
+            raise FormatError(
+                f"tsvd record kind {kind} does not fit {'real' if real[j] else 'complex'} slice {j}"
+            )
+        if kind in (SELF, HALF):
+            stack[j] += scalar * np.outer(u_part, v_part)
+        elif (j, i) not in pending:
+            pending[(j, i)] = (kind, u_part, v_part)
         else:
-            key = (j, i)
-            if key in pending:
-                other_kind, other_u, other_v, sigma = pending.pop(key)
-                if kind == PAIR_IM:
-                    u = other_u + 1j * u_part
-                    v = other_v + 1j * v_part
-                else:
-                    u = u_part + 1j * other_u
-                    v = v_part + 1j * other_v
-                slab = sigma * np.outer(u, v.conj())
-                merged[:, :, j] += slab
-                merged[:, :, p] += slab.conj()
+            other_kind, other_u, other_v = pending.pop((j, i))
+            if other_kind == kind:
+                raise FormatError(f"tsvd payload has two records of kind {kind} for (slice {j}, diag {i})")
+            if kind == PAIR_IM:
+                u = other_u + 1j * u_part
+                v = other_v + 1j * v_part
             else:
-                pending[key] = (kind, u_part, v_part, scalar)
+                u = u_part + 1j * other_u
+                v = v_part + 1j * other_v
+            stack[j] += scalar * np.outer(u, v.conj())
     if pending:
-        raise DimensionError("unpaired pair-record in tsvd payload")
-    return transforms.ifft_mode3(merged)
+        raise FormatError("unpaired pair-record in tsvd payload")
+    return transforms.ifft_stack(stack, (n3,))
 
 
 def compress_tsvd(m, k2: int) -> CompressionResult:
     """Keep the ``k2`` largest spectral f-diagonal entries globally.
 
-    Ties are broken by (slice index, diagonal index) ascending; conjugate
-    partner entries are kept or dropped together so the reconstruction is
-    real.
+    Ties are broken by (slice index, diagonal index) ascending; an entry and
+    its conjugate are kept or dropped together so the reconstruction is real.
     """
     m = check_tensor(m, name="compression input")
     n1, n2, n3 = _check_dims3(m.shape)
     _check_k("tsvd", m.shape, k2)
     factors = t_svd(m)
-    sig = factors.sigmas()
-    u_hat = transforms.merge_trailing(transforms.fft_mode3(factors.u))
-    v_hat = transforms.merge_trailing(transforms.fft_mode3(factors.v))
-    partner = transforms.conjugate_partner_map((n3,))
-    records = _select_tsvd_records(sig, u_hat, v_hat, partner, k2)
+    real = transforms.real_slices((n3,))
+    records = _select_tsvd_records(factors.sig_hat, factors.u_hat, factors.v_hat, real, k2)
     payload = [np.concatenate(([scalar], u_part, v_part))
                for _, _, _, scalar, u_part, v_part in records]
     meta = [(kind, j, i) for kind, j, i, _, _, _ in records]
@@ -370,8 +363,6 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
     u = scalars[: n1 * k * n3].reshape(n1, k, n3, order="F")
     tubes = scalars[n1 * k * n3: n1 * k * n3 + k * n3].reshape(k, n3, order="F")
     v = scalars[n1 * k * n3 + k * n3:].reshape(n2, k, n3, order="F")
-    u_hat = transforms.merge_trailing(transforms.fft_mode3(u))
-    v_hat = transforms.merge_trailing(transforms.fft_mode3(v))
-    tubes_hat = np.fft.fft(tubes, axis=1)
-    c_hat = np.einsum("ikj,kj,lkj->ilj", u_hat, tubes_hat, v_hat.conj())
-    return transforms.ifft_mode3(c_hat)
+    u_hat, tubes_hat, v_hat = (transforms.to_stack(transforms.fft_mode3(a)) for a in (u, tubes[None], v))
+    c_hat = (u_hat * tubes_hat) @ v_hat.conj().swapaxes(1, 2)
+    return transforms.ifft_stack(c_hat, (n3,))

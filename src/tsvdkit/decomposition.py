@@ -3,9 +3,8 @@
 The factorization writes a real tensor as ``u * s * transpose(v)`` where ``u``
 and ``v`` are orthogonal under the t-product, ``s`` is f-diagonal (every
 frontal slice diagonal), and ``*`` is the t-product.  It is obtained from one
-matrix SVD per spectral frontal slice; conjugate-partner slices are mirrored
-rather than recomputed, which both halves the work and guarantees that the
-inverse transform of the factors is exactly real.
+matrix SVD per stored slice of the half spectrum (:mod:`tsvdkit.transforms`),
+all in one batched call.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import transforms
 from .algebra import check_tensor
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -27,105 +26,78 @@ class TSvdFactors:
     ----------
     u : ndarray, shape (n1, n1, n3, ...)
         Left orthogonal factor.
-    s : ndarray, shape (n1, n2, n3, ...)
-        f-diagonal middle factor.
     v : ndarray, shape (n2, n2, n3, ...)
         Right orthogonal factor (not transposed).
-    s_hat : ndarray, complex, same shape as ``s``
-        Spectral middle factor; every frontal slice is diagonal with real,
-        nonnegative, nonincreasing entries.  Cached so downstream consumers
-        avoid re-transforming.
+    u_hat, v_hat : ndarray, complex, shapes (slices, n1, n1) and (slices, n2, n2)
+        Spectral ``u`` and ``v`` on the stored slices of the half spectrum,
+        slice index first (:func:`tsvdkit.transforms.to_stack`).
+    sig_hat : ndarray, shape (slices, min(n1, n2))
+        Singular values of every stored slice, nonincreasing along each row.
     """
 
     u: np.ndarray
-    s: np.ndarray
     v: np.ndarray
-    s_hat: np.ndarray = field(repr=False)
+    u_hat: np.ndarray = field(repr=False)
+    sig_hat: np.ndarray = field(repr=False)
+    v_hat: np.ndarray = field(repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.s.shape
+        return self.u.shape[:1] + self.v.shape[:1] + self.u.shape[2:]
+
+    @property
+    def s(self) -> np.ndarray:
+        """f-diagonal middle factor, shape ``(n1, n2, n3, ...)``; built from
+        ``sig_hat`` on each access."""
+        n0 = self.sig_hat.shape[1]
+        out = np.zeros(self.dims)
+        out[np.arange(n0), np.arange(n0)] = transforms.ifft_stack(self.sig_hat[:, None, :], self.dims[2:])[0]
+        return out
 
     def sigmas(self) -> np.ndarray:
         """Spectral singular values as a real ``(min(n1, n2), rho)`` matrix,
         one column per merged spectral slice."""
-        merged = transforms.merge_trailing(self.s_hat)
-        n0 = min(merged.shape[0], merged.shape[1])
-        return merged[np.arange(n0), np.arange(n0), :].real
+        return transforms.full_slices(self.sig_hat.T, self.dims[2:])
+
+    @property
+    def s_hat(self) -> np.ndarray:
+        """Full spectral middle factor, shape of ``s``: every frontal slice is
+        diagonal with real, nonnegative, nonincreasing entries.  Built on each
+        access; read-only."""
+        sig = self.sigmas()
+        n0 = sig.shape[0]
+        merged = np.zeros(self.dims[:2] + sig.shape[1:], dtype=np.complex128)
+        merged[np.arange(n0), np.arange(n0), :] = sig
+        out = transforms.unmerge_trailing(merged, self.dims[2:])
+        out.setflags(write=False)
+        return out
 
     def reconstruct(self) -> np.ndarray:
         """Multiply the factors back together (spectral route)."""
         return truncate(self, min(self.dims[0], self.dims[1]))
 
 
-def _svd_spectral_slices(d_hat_m: np.ndarray, partner: np.ndarray):
-    """Slice SVDs over the merged spectral stack, mirroring conjugate pairs.
-
-    Returns merged complex stacks ``(u_hat, s_hat, v_hat)`` plus the
-    ``(n0, rho)`` real singular-value matrix.  Self-paired slices are real and
-    are factored with a real SVD so the factors stay exactly mirrorable.
-    """
-    n1, n2, rho = d_hat_m.shape
-    n0 = min(n1, n2)
-    diag = np.arange(n0)
-    u_hat = np.zeros((n1, n1, rho), dtype=np.complex128)
-    s_hat = np.zeros((n1, n2, rho), dtype=np.complex128)
-    v_hat = np.zeros((n2, n2, rho), dtype=np.complex128)
-    sig = np.zeros((n0, rho))
-    for j in range(rho):
-        p = int(partner[j])
-        if p < j:
-            continue
-        slab = d_hat_m[:, :, j]
-        try:
-            if not slab.any():
-                u, s, vh = np.eye(n1, dtype=np.complex128), np.zeros(n0), np.eye(n2, dtype=np.complex128)
-            elif p == j:
-                u, s, vh = np.linalg.svd(slab.real)
-                u = u.astype(np.complex128)
-                vh = vh.astype(np.complex128)
-            else:
-                u, s, vh = np.linalg.svd(slab)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD failed on spectral slice {j}: {exc}") from exc
-        u_hat[:, :, j] = u
-        s_hat[diag, diag, j] = s
-        v_hat[:, :, j] = vh.conj().T
-        sig[:, j] = s
-        if p != j:
-            u_hat[:, :, p] = u.conj()
-            s_hat[diag, diag, p] = s
-            v_hat[:, :, p] = vh.T
-            sig[:, p] = s
-    return u_hat, s_hat, v_hat, sig
-
-
 def t_svd(m) -> TSvdFactors:
     """Factor a real tensor of order >= 3 into orthogonal-by-f-diagonal form.
 
-    One matrix SVD is computed per spectral frontal slice (all trailing modes
-    transformed); a slice whose conjugate partner was already factored reuses
-    the conjugated factors.  Zero slices deterministically yield identity
-    factors.
+    One matrix SVD is computed per stored spectral slice, in one batched
+    call; a zero slice yields identity factors.
 
     Raises
     ------
     NumericalError
-        If a slice SVD fails to converge; the message carries the merged
-        slice index.
+        If the transformed tensor is not finite or a slice SVD fails to
+        converge.
     """
     m = check_tensor(m, name="t_svd input")
     trailing = m.shape[2:]
-    d_hat_m = transforms.merge_trailing(transforms.fft_mode3(m))
-    partner = transforms.conjugate_partner_map(trailing)
-    u_hat, s_hat, v_hat, _ = _svd_spectral_slices(d_hat_m, partner)
-    u = transforms.ifft_mode3(transforms.unmerge_trailing(u_hat, trailing))
-    s = transforms.ifft_mode3(transforms.unmerge_trailing(s_hat, trailing))
-    v = transforms.ifft_mode3(transforms.unmerge_trailing(v_hat, trailing))
-    s_hat_full = transforms.unmerge_trailing(s_hat, trailing)
-    for arr in (u, s, v, s_hat_full):
+    u_hat, sig_hat, vh_hat = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)))
+    v_hat = vh_hat.conj().swapaxes(1, 2)
+    u = transforms.ifft_stack(u_hat, trailing)
+    v = transforms.ifft_stack(v_hat, trailing)
+    for arr in (u, v, u_hat, sig_hat, v_hat):
         arr.setflags(write=False)
-    return TSvdFactors(u=u, s=s, v=v, s_hat=s_hat_full)
+    return TSvdFactors(u=u, v=v, u_hat=u_hat, sig_hat=sig_hat, v_hat=v_hat)
 
 
 def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
@@ -139,23 +111,22 @@ def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
     n0 = min(factors.dims[0], factors.dims[1])
     if not 1 <= k <= n0:
         raise DimensionError(f"truncation index {k} outside [1, {n0}]")
-    trailing = factors.dims[2:]
-    u_hat = transforms.merge_trailing(transforms.fft_mode3(factors.u))[:, :k, :]
-    v_hat = transforms.merge_trailing(transforms.fft_mode3(factors.v))[:, :k, :]
-    sig = factors.sigmas()[:k, :]
-    c_hat = np.einsum("ikj,kj,lkj->ilj", u_hat, sig, v_hat.conj())
-    return transforms.ifft_mode3(transforms.unmerge_trailing(c_hat, trailing))
+    u = factors.u_hat[:, :, :k] * factors.sig_hat[:, None, :k]
+    vh = factors.v_hat[:, :, :k].conj().swapaxes(1, 2)
+    return transforms.ifft_stack(u @ vh, factors.dims[2:])
 
 
-def _spectral_singular_values(m) -> np.ndarray:
-    """Singular values of every merged spectral slice, shape ``(n0, rho)``."""
+def _spectral_singular_values(m) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of every stored spectral slice, shape
+    ``(n0, slices)``, and each slice's weight in full-spectrum sums."""
     m = check_tensor(m)
-    d_hat_m = transforms.merge_trailing(transforms.fft_mode3(m))
-    try:
-        sig = np.linalg.svd(np.moveaxis(d_hat_m, 2, 0), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular values failed to converge: {exc}") from exc
-    return sig.T
+    sig = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)), compute_uv=False)
+    return sig.T, transforms.slice_weights(m.shape[2:])
+
+
+def _tube_norms(sig: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """l2 norms of the singular tubes, by Parseval over the full spectrum."""
+    return np.sqrt((sig**2) @ weights / weights.sum())
 
 
 def multi_rank(m, tol: float = 1e-8) -> np.ndarray:
@@ -165,9 +136,10 @@ def multi_rank(m, tol: float = 1e-8) -> np.ndarray:
     the largest singular value over *all* slices.  Returns one integer per
     merged spectral slice (``n3`` of them for order 3).
     """
-    sig = _spectral_singular_values(m)
+    sig, _ = _spectral_singular_values(m)
     threshold = tol * sig.max(initial=0.0)
-    return (sig > threshold).sum(axis=0).astype(np.int64)
+    ranks = (sig > threshold).sum(axis=0).astype(np.int64)
+    return transforms.full_slices(ranks, np.shape(m)[2:])
 
 
 def tubal_rank(m, tol: float = 1e-8) -> int:
@@ -176,9 +148,7 @@ def tubal_rank(m, tol: float = 1e-8) -> int:
     A tube counts when its l2 norm exceeds ``tol`` times the largest tube
     norm; the norms come from the spectral singular values via Parseval.
     """
-    sig = _spectral_singular_values(m)
-    rho = sig.shape[1]
-    tube_norms = np.sqrt((sig**2).sum(axis=1) / rho)
+    tube_norms = _tube_norms(*_spectral_singular_values(m))
     top = tube_norms.max(initial=0.0)
     return int((tube_norms > tol * top).sum())
 
@@ -187,11 +157,10 @@ def tnn(m) -> float:
     """Tensor nuclear norm: the summed singular values of every spectral
     frontal slice, equal to the nuclear norm of the block-diagonal spectral
     matrix."""
-    return float(_spectral_singular_values(m).sum())
+    sig, weights = _spectral_singular_values(m)
+    return float(sig.sum(axis=0) @ weights)
 
 
 def ttn(m) -> float:
     """Tensor tubal norm: the summed l2 norms of the singular tubes."""
-    sig = _spectral_singular_values(m)
-    rho = sig.shape[1]
-    return float(np.sqrt((sig**2).sum(axis=1) / rho).sum())
+    return float(_tube_norms(*_spectral_singular_values(m)).sum())

@@ -18,13 +18,9 @@ class DataError(TsvdkitError):
     mask entries outside {0, 1})."""
 
 
-class SpectralSymmetryError(TsvdkitError):
-    """Inverse transform of a spectral tensor left an imaginary residue above
-    tolerance, signalling a corrupted (non conjugate-symmetric) spectrum."""
-
-
 class NumericalError(TsvdkitError):
-    """A numerical kernel (slice SVD) failed to converge."""
+    """A numerical kernel failed: a slice SVD did not converge, or the
+    transformed tensor it was given overflowed to non-finite values."""
 
 
 class DivergenceError(NumericalError):

@@ -14,6 +14,7 @@ per record.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
     dims = tuple(int(d) for d in np.frombuffer(data[5:header_end], dtype="<u8"))
     if min(dims) < 1:
         raise FormatError(f"tensor extents must be >= 1, got {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     expected = header_end + 8 * count
     if len(data) != expected:
         raise FormatError(

@@ -1,71 +1,139 @@
-"""Trailing-mode Fourier transforms and sampling operators.
+"""Trailing-mode Fourier transforms, the half-spectrum layout, and sampling
+operators.
 
 Convention: the forward transform is the unnormalized DFT applied along every
-mode from the third onward; the inverse carries the full 1/n factor.  Under
-this convention the squared Frobenius norm picks up a factor equal to the
-product of the trailing extents (``rho``) in the spectral domain.
+mode from the third onward; the inverse carries the full 1/n factor.  The
+tensors are real, so their spectra are conjugate symmetric and only the half
+with last trailing index ``k_N <= n_N // 2`` is stored (``numpy.fft.rfftn``).
+Stored slices are numbered as :func:`merge_trailing` numbers them, third index
+fastest.
+
+This module is the only one that knows how that half relates to the full
+spectrum:
+
+* a stored slice outside the ``k_N in {0, n_N/2}`` planes stands for itself
+  and for its conjugate, which is not stored; one inside those planes stands
+  for itself only (:func:`slice_weights`);
+* inside those planes, the slices whose every trailing index is 0 or ``n/2``
+  are real (:func:`real_slices`), and the others come in conjugate pairs,
+  both stored.  :func:`ifft_mode3` overwrites the higher-numbered member of
+  each pair with the conjugate of the lower one, so independently factored
+  pair members cannot break the symmetry.
+
+Under this convention ``|a|_F^2 = sum_j w_j |a_hat_j|_F^2 / rho`` with ``w``
+the slice weights and ``rho`` the product of the trailing extents.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DimensionError, SpectralSymmetryError
+from .errors import DataError, DimensionError, NumericalError
 
-# Relative bound on the imaginary residue tolerated when a spectral tensor is
-# brought back to the real domain.
-IMAG_RESIDUE_RTOL = 1e-8
+
+def _half_dims(trailing_dims) -> tuple[int, ...]:
+    trailing = tuple(int(n) for n in trailing_dims)
+    return trailing[:-1] + (trailing[-1] // 2 + 1,)
+
+
+def _plane_partners(trailing_dims) -> tuple[np.ndarray, np.ndarray]:
+    """Per stored slice: whether it lies in a ``k_N in {0, n_N/2}`` plane, and
+    the stored index of its conjugate (its own index outside the planes)."""
+    trailing = tuple(int(n) for n in trailing_dims)
+    half = _half_dims(trailing)
+    k = np.indices(half).reshape(len(half), -1, order="F")
+    in_plane = (2 * k[-1]) % trailing[-1] == 0
+    mirrored = [(-kk) % n for kk, n in zip(k[:-1], trailing[:-1])] + [k[-1]]
+    own = np.arange(k.shape[1])
+    partner = np.where(in_plane, np.ravel_multi_index(mirrored, half, order="F"), own)
+    return in_plane, partner
+
+
+def slice_weights(trailing_dims) -> np.ndarray:
+    """How many slices of the full spectrum each stored slice stands for: 1 in
+    the ``k_N in {0, n_N/2}`` planes, 2 elsewhere.  A sum over the full
+    spectrum of a quantity shared by conjugate slices (singular values,
+    squared norms) is the weighted sum over the stored slices."""
+    in_plane, _ = _plane_partners(trailing_dims)
+    return np.where(in_plane, 1.0, 2.0)
+
+
+def real_slices(trailing_dims) -> np.ndarray:
+    """Which stored slices are their own conjugate, hence real: those whose
+    every trailing index is 0 or ``n/2``."""
+    in_plane, partner = _plane_partners(trailing_dims)
+    return in_plane & (partner == np.arange(partner.size))
+
+
+def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
+    """Spread per-stored-slice values (last axis) over all ``rho`` spectral
+    slices in :func:`merge_trailing` order.
+
+    A slice that is not stored takes the value of its stored conjugate, so
+    the values must be ones that conjugation leaves unchanged, such as
+    singular values or ranks.
+    """
+    trailing = tuple(int(n) for n in trailing_dims)
+    half = _half_dims(trailing)
+    k = np.indices(trailing).reshape(len(trailing), -1, order="F")
+    mirrored = np.stack([(-kk) % n for kk, n in zip(k, trailing)])
+    source = np.where(k[-1] < half[-1], k, mirrored)
+    return np.asarray(values)[..., np.ravel_multi_index(source, half, order="F")]
 
 
 def fft_mode3(a: np.ndarray) -> np.ndarray:
-    """Forward DFT along every trailing mode (third onward).
+    """Forward DFT along every trailing mode (third onward), half spectrum.
 
     Parameters
     ----------
     a : ndarray
-        Real or complex tensor of order >= 3.
+        Real tensor of order >= 3, shape ``(n1, n2, n3, ..., nN)``.
 
     Returns
     -------
     ndarray
-        Complex tensor with the same shape as ``a``.
+        Complex tensor of shape ``(n1, n2, n3, ..., nN // 2 + 1)``; its real
+        slices (:func:`real_slices`) have an exactly zero imaginary part.
     """
     arr = np.asarray(a)
     if arr.ndim < 3:
         raise DimensionError(f"expected order >= 3, got order {arr.ndim}")
-    out = arr.astype(np.complex128, copy=True)
-    for axis in range(2, arr.ndim):
-        out = np.fft.fft(out, axis=axis)
+    if np.iscomplexobj(arr):
+        raise DataError("the trailing-mode transform takes a real tensor")
+    out = np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)))
+    # The complex passes over modes 3..N-1 can leave rounding in the
+    # imaginary part of a real slice; clearing it lets svd_slices factor the
+    # slice as a real matrix.
+    real = real_slices(arr.shape[2:]).reshape(out.shape[2:], order="F")
+    out.imag[:, :, real] = 0.0
     return out
 
 
-def ifft_mode3(a_hat: np.ndarray) -> np.ndarray:
-    """Inverse DFT along every trailing mode, returning a real tensor.
+def ifft_mode3(a_hat: np.ndarray, trailing_dims) -> np.ndarray:
+    """Inverse DFT along every trailing mode, from a half spectrum to a real
+    tensor with the given trailing extents.
 
-    The input must be (numerically) conjugate symmetric, i.e. originate from
-    a real tensor.  The imaginary residue left by rounding is verified against
-    ``IMAG_RESIDUE_RTOL`` and discarded.
-
-    Raises
-    ------
-    SpectralSymmetryError
-        If the residue exceeds ``IMAG_RESIDUE_RTOL * (1 + max |real part|)``,
-        which signals a corrupted spectral tensor.
+    The higher-numbered member of each conjugate pair inside the
+    ``k_N in {0, n_N/2}`` planes is replaced by the conjugate of the lower
+    one first (order >= 4 only; order 3 has no such pairs).
     """
     arr = np.asarray(a_hat)
     if arr.ndim < 3:
         raise DimensionError(f"expected order >= 3, got order {arr.ndim}")
-    out = arr.astype(np.complex128, copy=True)
-    for axis in range(2, arr.ndim):
-        out = np.fft.ifft(out, axis=axis)
-    residue = float(np.abs(out.imag).max()) if out.size else 0.0
-    bound = IMAG_RESIDUE_RTOL * (1.0 + (float(np.abs(out.real).max()) if out.size else 0.0))
-    if residue > bound:
-        raise SpectralSymmetryError(
-            f"imaginary residue {residue:.3e} exceeds tolerance {bound:.3e}; "
-            "the spectral tensor is not conjugate symmetric"
+    trailing = tuple(int(n) for n in trailing_dims)
+    half = _half_dims(trailing)
+    if arr.shape[2:] != half:
+        raise DimensionError(
+            f"half spectrum with trailing shape {arr.shape[2:]} does not match "
+            f"trailing extents {trailing} (expected {half})"
         )
-    return np.ascontiguousarray(out.real)
+    _, partner = _plane_partners(trailing)
+    upper = partner < np.arange(partner.size)
+    if upper.any():
+        merged = merge_trailing(arr).copy()
+        merged[:, :, upper] = merged[:, :, partner[upper]].conj()
+        arr = unmerge_trailing(merged, half)
+    return np.fft.irfftn(arr, s=trailing, axes=tuple(range(2, arr.ndim)))
 
 
 def merge_trailing(a: np.ndarray) -> np.ndarray:
@@ -84,21 +152,56 @@ def unmerge_trailing(merged: np.ndarray, trailing_dims: tuple[int, ...]) -> np.n
     return merged.reshape(shape, order="F")
 
 
-def conjugate_partner_map(trailing_dims: tuple[int, ...]) -> np.ndarray:
-    """Map each merged slice index to its conjugate partner.
+def to_stack(a_hat: np.ndarray) -> np.ndarray:
+    """Slices first: ``(n1, n2, ...)`` becomes a ``(slices, n1, n2)`` stack, the
+    layout of batched matrix products and of :func:`svd_slices`."""
+    return np.moveaxis(merge_trailing(a_hat), 2, 0)
 
-    For a real tensor, spectral slice ``m`` equals the complex conjugate of
-    slice ``partner[m]``; self-paired slices (``partner[m] == m``) carry real
-    spectra.
+
+def from_stack(stack: np.ndarray, stored_dims: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`to_stack` for the given trailing shape."""
+    return unmerge_trailing(np.moveaxis(stack, 0, 2), stored_dims)
+
+
+def ifft_stack(stack: np.ndarray, trailing_dims) -> np.ndarray:
+    """:func:`ifft_mode3` of the half spectrum held as a slice stack."""
+    return ifft_mode3(from_stack(stack, _half_dims(trailing_dims)), trailing_dims)
+
+
+def _join(real: np.ndarray, from_real: np.ndarray, from_complex: np.ndarray) -> np.ndarray:
+    out = np.empty(real.shape + from_complex.shape[1:], dtype=from_complex.dtype)
+    out[real] = from_real
+    out[~real] = from_complex
+    return out
+
+
+def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
+    """SVD of every slice of a ``(slices, n1, n2)`` spectral stack.
+
+    Returns what ``numpy.linalg.svd`` returns for the stack: ``(u, s, vh)``
+    with ``u`` and ``vh`` complex, or ``s`` alone.  A slice whose imaginary
+    part is exactly zero is factored as a real matrix, so its factors are
+    real; :func:`fft_mode3` makes every real slice exactly real.  An all-zero
+    slice gets identity factors.
+
+    Raises
+    ------
+    NumericalError
+        If a slice holds a non-finite entry (the forward transform
+        overflowed) or an SVD fails to converge.
     """
-    trailing_dims = tuple(int(n) for n in trailing_dims)
-    rho = int(np.prod(trailing_dims)) if trailing_dims else 1
-    partner = np.empty(rho, dtype=np.intp)
-    for lin in range(rho):
-        multi = np.unravel_index(lin, trailing_dims, order="F")
-        mirrored = tuple((-m) % n for m, n in zip(multi, trailing_dims))
-        partner[lin] = np.ravel_multi_index(mirrored, trailing_dims, order="F")
-    return partner
+    stack = np.asarray(stack, dtype=np.complex128)
+    if not np.isfinite(stack).all():
+        raise NumericalError("spectral slices are not finite; the transform overflowed")
+    real = ~stack.imag.any(axis=(1, 2))
+    try:
+        from_real = np.linalg.svd(stack[real].real, full_matrices, compute_uv)
+        from_complex = np.linalg.svd(stack[~real], full_matrices, compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
+    if not compute_uv:
+        return _join(real, from_real, from_complex)
+    return tuple(_join(real, r, c) for r, c in zip(from_real, from_complex))
 
 
 class SamplingOperator:
@@ -145,14 +248,3 @@ class SamplingOperator:
         x = np.asarray(x)
         self._check_dims(x)
         return np.where(self.mask, x, np.zeros((), dtype=x.dtype))
-
-    def apply_spectral(self, x_hat: np.ndarray) -> np.ndarray:
-        """The sampling projector conjugated into the spectral domain.
-
-        Computes ``fft(mask * ifft(x_hat))``; the input must therefore be a
-        valid (conjugate-symmetric) spectrum, or :class:`SpectralSymmetryError`
-        propagates from the inverse transform.
-        """
-        x_hat = np.asarray(x_hat)
-        self._check_dims(x_hat)
-        return fft_mode3(self.apply(ifft_mode3(x_hat)))

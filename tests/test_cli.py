@@ -272,6 +272,15 @@ class TestInfoCommand:
         assert record["results"]["tnn"] == 0.0
         assert record["results"]["tubal_rank"] == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_tube_exits_3(self, tmp_path, capsys):
+        tensor = np.zeros((4, 4, 2))
+        tensor[1, 2, :] = 1e308
+        path = tmp_path / "huge.tsr"
+        fileio.write_tensor(path, tensor)
+        code, _ = run(capsys, "info", str(path))
+        assert code == 3
+
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "info", "/nonexistent/path.tsr")
         assert code == 2
@@ -307,6 +316,13 @@ class TestMetricsOutput:
         record = json.loads(metrics.read_text())
         assert set(record) == METRICS_KEYS
         assert record["command"] == "gen"
+
+    def test_wrapping_extents_exit_2(self, tmp_path, capsys):
+        # 2**62 * 4 * 4 wraps to 0 in int64, which would match an empty payload.
+        bad = tmp_path / "wrap.tsr"
+        bad.write_bytes(b"TSR1" + bytes([3]) + np.array([2**62, 4, 4], dtype="<u8").tobytes())
+        code, _ = run(capsys, "info", str(bad))
+        assert code == 2
 
     def test_bad_tensor_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsr"

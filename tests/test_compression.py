@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsvdkit import algebra, compression, decomposition, synthesis
-from tsvdkit.errors import InfeasibleError
+from tsvdkit.errors import FormatError, InfeasibleError
 
 
 def rel(got, want):
@@ -170,6 +170,34 @@ class TestDecodePayload:
             scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
             rebuilt = compression.decode_payload(method, m.shape, k, scalars, result.meta)
             assert rel(rebuilt, m) <= 1e-12
+
+
+class TestTsvdRecordValidation:
+    """Records of a 4x3x6 tensor: slices 0 and 3 are real, 1 and 2 complex."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(13)
+        self.m = rng.standard_normal((4, 3, 6))
+        self.result = compression.compress_tsvd(self.m, 6)
+        self.scalars = np.concatenate([b.ravel(order="F") for b in self.result.payload])
+
+    def decode(self, meta):
+        return compression.decode_payload("tsvd", self.m.shape, 6, self.scalars, meta)
+
+    def test_valid_records_decode(self):
+        assert rel(self.decode(self.result.meta), self.result.reconstruction) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "record",
+        [(7, 0, 0), (compression.SELF, 4, 0), (compression.SELF, 0, 3),
+         (compression.SELF, 1, 0), (compression.PAIR_RE, 0, 0), (compression.HALF, 3, 0)],
+        ids=["unknown-kind", "slice-out-of-range", "diag-out-of-range",
+             "self-on-complex-slice", "pair-on-real-slice", "half-on-real-slice"],
+    )
+    def test_bad_record_rejected(self, record):
+        meta = [record] + list(self.result.meta[1:])
+        with pytest.raises(FormatError):
+            self.decode(meta)
 
 
 def test_monotone_rse_in_retained_parameters():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsvdkit import algebra, decomposition, synthesis, transforms
-from tsvdkit.errors import DimensionError
+from tsvdkit.errors import DimensionError, NumericalError
 
 
 def rel(got, want):
@@ -90,6 +90,24 @@ class TestTSvd:
         sigma = np.linalg.svd(m[:, :, 0], compute_uv=False)
         assert np.allclose(factors.sigmas()[:, 0], sigma, atol=1e-12)
         assert rel(factors.reconstruct(), m) <= 1e-10
+
+
+def overflowing_tube():
+    """Finite, but one tube's spectrum overflows to infinity."""
+    m = np.zeros((4, 4, 2))
+    m[1, 2, :] = 1e308
+    return m
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestOverflow:
+    def test_t_svd_raises(self):
+        with pytest.raises(NumericalError):
+            decomposition.t_svd(overflowing_tube())
+
+    def test_tnn_raises(self):
+        with pytest.raises(NumericalError):
+            decomposition.tnn(overflowing_tube())
 
 
 class TestTruncate:
@@ -190,7 +208,7 @@ class TestTnn:
     def test_blkdiag_oracle(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((5, 6, 4))
-        m_hat = transforms.fft_mode3(m)
+        m_hat = np.fft.fft(m, axis=2)
         block = np.zeros((5 * 4, 6 * 4), dtype=complex)
         for j in range(4):
             block[5 * j: 5 * (j + 1), 6 * j: 6 * (j + 1)] = m_hat[:, :, j]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tsvdkit import transforms
-from tsvdkit.errors import DataError, DimensionError, SpectralSymmetryError
+from tsvdkit.errors import DataError, DimensionError, NumericalError
 
 small_tensors = hnp.arrays(
     dtype=np.float64,
@@ -14,72 +14,161 @@ small_tensors = hnp.arrays(
 )
 
 
+def full_spectrum(a):
+    """Plain-numpy oracle: the full DFT over every trailing mode, merged."""
+    a_hat = np.fft.fftn(a, axes=tuple(range(2, a.ndim)))
+    return a_hat.reshape(a.shape[0], a.shape[1], -1, order="F")
+
+
 class TestFourier:
     def test_constant_tube_concentrates(self):
         a = np.full((2, 2, 5), 3.0)
         a_hat = transforms.fft_mode3(a)
+        assert a_hat.shape == (2, 2, 3)
         assert np.allclose(a_hat[:, :, 0], 15.0)
         assert np.allclose(a_hat[:, :, 1:], 0.0, atol=1e-12)
 
     @given(small_tensors)
     @settings(max_examples=50)
     def test_round_trip(self, a):
-        back = transforms.ifft_mode3(transforms.fft_mode3(a))
+        back = transforms.ifft_mode3(transforms.fft_mode3(a), a.shape[2:])
         assert np.allclose(back, a, atol=1e-12 * (1 + np.abs(a).max()))
 
     def test_round_trip_order4(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 4, 5, 2))
-        assert np.allclose(transforms.ifft_mode3(transforms.fft_mode3(a)), a, atol=1e-12)
+        assert np.allclose(transforms.ifft_mode3(transforms.fft_mode3(a), (5, 2)), a, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 3), (3, 4, 2, 3, 4), (2, 2, 6, 5, 4)])
+    def test_round_trip_higher_order(self, shape):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(shape)
+        assert np.allclose(transforms.ifft_mode3(transforms.fft_mode3(a), shape[2:]), a, atol=1e-12)
 
     def test_round_trip_16_cubed(self):
         rng = np.random.default_rng(16)
         a = rng.standard_normal((16, 16, 16))
-        assert np.allclose(transforms.ifft_mode3(transforms.fft_mode3(a)), a, atol=1e-12)
+        assert np.allclose(transforms.ifft_mode3(transforms.fft_mode3(a), (16,)), a, atol=1e-12)
 
     def test_real_input_conjugate_symmetry(self):
+        # The full spectrum of a real tensor is conjugate symmetric, and the
+        # stored half is its leading half along the last trailing mode.
         rng = np.random.default_rng(1)
-        a_hat = transforms.fft_mode3(rng.standard_normal((4, 3, 7)))
-        for j in range(1, 7):
-            assert np.allclose(a_hat[:, :, j], a_hat[:, :, 7 - j].conj(), atol=1e-12)
+        for shape in ((4, 3, 7), (4, 3, 6), (3, 4, 2, 3, 4), (2, 2, 6, 5, 4)):
+            a = rng.standard_normal(shape)
+            axes = tuple(range(2, a.ndim))
+            a_hat = np.fft.fftn(a, axes=axes)
+            negated = np.roll(np.flip(a_hat, axis=axes), 1, axis=axes)
+            assert np.allclose(a_hat, negated.conj(), atol=1e-12)
+            half = transforms.fft_mode3(a)
+            assert half.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+            assert np.allclose(half, a_hat[..., : shape[-1] // 2 + 1], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 6), (3, 3, 5), (2, 2, 6, 5, 4), (3, 4, 2, 3, 4)])
+    def test_real_slices_are_exactly_real(self, shape):
+        rng = np.random.default_rng(2)
+        a_hat = transforms.merge_trailing(transforms.fft_mode3(rng.standard_normal(shape)))
+        real = transforms.real_slices(shape[2:])
+        assert np.array_equal(a_hat[:, :, real].imag, np.zeros_like(a_hat[:, :, real].imag))
+        assert (np.abs(a_hat[:, :, ~real].imag).max(axis=(0, 1)) > 0).all()
 
     def test_zero_spectrum(self):
         assert np.array_equal(
-            transforms.ifft_mode3(np.zeros((2, 3, 4), dtype=complex)), np.zeros((2, 3, 4))
+            transforms.ifft_mode3(np.zeros((2, 3, 3), dtype=complex), (4,)), np.zeros((2, 3, 4))
         )
 
-    def test_broken_symmetry_rejected(self):
-        rng = np.random.default_rng(2)
-        a_hat = transforms.fft_mode3(rng.standard_normal((3, 3, 6)))
-        a_hat[:, :, 2] += 1.0j
-        with pytest.raises(SpectralSymmetryError):
-            transforms.ifft_mode3(a_hat)
+    def test_inverse_rejects_mismatched_extents(self):
+        with pytest.raises(DimensionError):
+            transforms.ifft_mode3(np.zeros((2, 3, 3), dtype=complex), (6,))
+
+    def test_forward_rejects_complex_input(self):
+        with pytest.raises(DataError):
+            transforms.fft_mode3(np.ones((2, 2, 3), dtype=complex))
+
+    def test_inverse_enforces_symmetry_in_the_planes(self):
+        # Perturbing the higher member of a conjugate pair inside the k_N = 0
+        # plane changes nothing: the inverse mirrors the lower member.
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((2, 2, 4, 3))
+        a_hat = transforms.fft_mode3(a)
+        a_hat[:, :, 3, 0] += 1.0 + 2.0j
+        assert np.allclose(transforms.ifft_mode3(a_hat, (4, 3)), a, atol=1e-12)
 
     def test_parseval_factor(self):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 5, 4))
-        lhs = np.linalg.norm(transforms.fft_mode3(a)) ** 2
-        assert abs(lhs - 4 * np.linalg.norm(a) ** 2) <= 1e-10 * lhs
-        b = rng.standard_normal((3, 3, 4, 5))
-        lhs = np.linalg.norm(transforms.fft_mode3(b).ravel()) ** 2
-        assert abs(lhs - 20 * np.linalg.norm(b.ravel()) ** 2) <= 1e-10 * lhs
+        for shape in ((6, 5, 4), (6, 5, 5), (3, 3, 4, 5), (3, 3, 2, 3, 4)):
+            a = rng.standard_normal(shape)
+            merged = transforms.merge_trailing(transforms.fft_mode3(a))
+            weights = transforms.slice_weights(shape[2:])
+            lhs = (np.abs(merged) ** 2).sum(axis=(0, 1)) @ weights
+            rho = np.prod(shape[2:])
+            assert abs(lhs - rho * np.linalg.norm(a.ravel()) ** 2) <= 1e-10 * lhs
 
     def test_rejects_low_order(self):
         with pytest.raises(DimensionError):
             transforms.fft_mode3(np.zeros((2, 2)))
 
 
+class TestHalfLayout:
+    @pytest.mark.parametrize("trailing", [(1,), (2,), (5,), (6,), (4, 3), (4, 2), (2, 3, 4), (3, 2, 1)])
+    def test_weights_count_every_full_slice(self, trailing):
+        assert transforms.slice_weights(trailing).sum() == np.prod(trailing)
+
+    def test_order3_layout(self):
+        assert transforms.slice_weights((6,)).tolist() == [1, 2, 2, 1]
+        assert transforms.real_slices((6,)).tolist() == [True, False, False, True]
+        assert transforms.slice_weights((5,)).tolist() == [1, 2, 2]
+        assert transforms.real_slices((5,)).tolist() == [True, False, False]
+
+
+
 class TestPartnerMap:
+    """Where each slice of the full spectrum lives in the stored half."""
+
     def test_order3_pairs(self):
-        assert transforms.conjugate_partner_map((4,)).tolist() == [0, 3, 2, 1]
-        assert transforms.conjugate_partner_map((5,)).tolist() == [0, 4, 3, 2, 1]
+        assert transforms.full_slices(np.arange(3), (4,)).tolist() == [0, 1, 2, 1]
+        assert transforms.full_slices(np.arange(3), (5,)).tolist() == [0, 1, 2, 2, 1]
 
     def test_matches_spectrum_of_real_input(self):
+        # A full slice is its stored source when k_N <= n_N // 2, and the
+        # conjugate of it otherwise.
         rng = np.random.default_rng(4)
-        a_hat = transforms.merge_trailing(transforms.fft_mode3(rng.standard_normal((3, 3, 4, 3))))
-        partner = transforms.conjugate_partner_map((4, 3))
-        for lin in range(12):
-            assert np.allclose(a_hat[:, :, lin], a_hat[:, :, partner[lin]].conj(), atol=1e-12)
+        for shape in ((3, 3, 7), (3, 3, 4, 3), (2, 2, 4, 2), (3, 4, 2, 3, 4)):
+            a = rng.standard_normal(shape)
+            full = full_spectrum(a)
+            half = transforms.merge_trailing(transforms.fft_mode3(a))
+            source = transforms.full_slices(np.arange(half.shape[2]), shape[2:])
+            stride = int(np.prod(shape[2:-1]))
+            for lin in range(full.shape[2]):
+                stored = half[:, :, source[lin]]
+                want = stored if lin // stride <= shape[-1] // 2 else stored.conj()
+                assert np.allclose(full[:, :, lin], want, atol=1e-12)
+
+
+class TestSvdSlices:
+    def test_matches_per_slice_svd(self):
+        rng = np.random.default_rng(5)
+        stack = transforms.to_stack(transforms.fft_mode3(rng.standard_normal((5, 4, 6))))
+        u, s, vh = transforms.svd_slices(stack)
+        for j in range(stack.shape[0]):
+            assert np.allclose(s[j], np.linalg.svd(stack[j], compute_uv=False), atol=1e-12)
+            assert np.allclose((u[j, :, :4] * s[j]) @ vh[j], stack[j], atol=1e-12)
+        assert np.allclose(transforms.svd_slices(stack, compute_uv=False), s, atol=0)
+
+    def test_real_slices_get_real_factors(self):
+        rng = np.random.default_rng(6)
+        stack = transforms.to_stack(transforms.fft_mode3(rng.standard_normal((4, 4, 6))))
+        u, _, vh = transforms.svd_slices(stack)
+        for j in (0, 3):
+            assert not u[j].imag.any() and not vh[j].imag.any()
+
+    def test_nonfinite_slices_rejected(self):
+        stack = np.zeros((2, 3, 3), dtype=complex)
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(NumericalError):
+            transforms.svd_slices(stack)
+        with pytest.raises(NumericalError):
+            transforms.svd_slices(stack, compute_uv=False)
 
 
 class TestSamplingOperator:
@@ -120,6 +209,19 @@ class TestSamplingOperator:
             transforms.SamplingOperator.bernoulli((2, 2, 2), 1.5, seed=0)
 
 
+def spectral_projector(sampler, x_hat):
+    """The sampling operator seen in the Fourier domain, F P F^-1."""
+    return transforms.fft_mode3(sampler.apply(transforms.ifft_mode3(x_hat, sampler.dims[2:])))
+
+
+def spectral_inner(x_hat, y_hat, trailing_dims):
+    """Inner product of two full spectra of real tensors, summed over their
+    stored halves."""
+    weights = transforms.slice_weights(trailing_dims)
+    per_slice = np.einsum("ijk,ijk->k", transforms.merge_trailing(x_hat).conj(), transforms.merge_trailing(y_hat))
+    return float(np.real(per_slice @ weights))
+
+
 class TestSpectralProjector:
     def setup_method(self):
         rng = np.random.default_rng(7)
@@ -129,22 +231,22 @@ class TestSpectralProjector:
     def test_all_ones_mask_is_identity(self):
         sampler = transforms.SamplingOperator(np.ones((4, 5, 6)))
         x_hat = transforms.fft_mode3(self.x)
-        assert np.allclose(sampler.apply_spectral(x_hat), x_hat, atol=1e-10)
+        assert np.allclose(spectral_projector(sampler, x_hat), x_hat, atol=1e-10)
 
     def test_unrolled_definition(self):
-        lhs = self.sampler.apply_spectral(transforms.fft_mode3(self.x))
+        lhs = spectral_projector(self.sampler, transforms.fft_mode3(self.x))
         rhs = transforms.fft_mode3(self.sampler.apply(self.x))
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_idempotent(self):
         x_hat = transforms.fft_mode3(self.x)
-        once = self.sampler.apply_spectral(x_hat)
-        assert np.allclose(self.sampler.apply_spectral(once), once, atol=1e-10)
+        once = spectral_projector(self.sampler, x_hat)
+        assert np.allclose(spectral_projector(self.sampler, once), once, atol=1e-10)
 
     def test_self_adjoint(self):
         rng = np.random.default_rng(8)
         x_hat = transforms.fft_mode3(rng.standard_normal((4, 5, 6)))
         y_hat = transforms.fft_mode3(rng.standard_normal((4, 5, 6)))
-        lhs = np.vdot(self.sampler.apply_spectral(x_hat), y_hat)
-        rhs = np.vdot(x_hat, self.sampler.apply_spectral(y_hat))
+        lhs = spectral_inner(spectral_projector(self.sampler, x_hat), y_hat, (6,))
+        rhs = spectral_inner(x_hat, spectral_projector(self.sampler, y_hat), (6,))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
