@@ -3,8 +3,9 @@
 
 Loads a tensor file (or synthesizes a low-tubal-rank tensor when --input is
 omitted) and, for a grid of target ratios, runs each scheme at the largest
-retention parameter meeting the target.  Emits one CSV row per
-(method, target) pair; infeasible targets are skipped with a note.
+retention parameter meeting the target, factoring the tensor once per scheme.
+Emits one CSV row per (method, target) pair; infeasible targets are skipped
+with a note.
 
 Example:
     python scripts/compression_sweep.py --input video.tsr \
@@ -56,13 +57,15 @@ def main(argv=None) -> int:
 
     rows = []
     for method in methods:
+        feasible, ks = [], []
         for target in targets:
             try:
-                k = compression.k_for_ratio(method, tensor.shape, target)
+                ks.append(compression.k_for_ratio(method, tensor.shape, target))
             except InfeasibleError:
                 print(f"{method}: target ratio {target} infeasible, skipped")
                 continue
-            result = compression.compress(tensor, method, k)
+            feasible.append(target)
+        for target, result in zip(feasible, compression.compress_sweep(tensor, method, ks)):
             rows.append({
                 "method": method,
                 "target_ratio": target,

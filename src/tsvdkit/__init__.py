@@ -6,21 +6,17 @@ from .algebra import (
     identity,
     is_orthogonal,
     t_product,
-    t_product_reference,
     transpose,
-    tube_mult,
 )
 from .completion import AdmmConfig, SolveReport, complete, rse_db, shrink_step, svt
 from .compression import (
     CompressionResult,
     compress,
-    compress_svd,
-    compress_tsvd,
-    compress_tsvd_tubal,
+    compress_sweep,
     decode_payload,
     k_for_ratio,
 )
-from .decomposition import TSvdFactors, multi_rank, t_svd, tnn, truncate, ttn, tubal_rank
+from .decomposition import TSvdFactors, multi_rank, rank_measures, t_svd, tnn, truncate, ttn, tubal_rank
 from .errors import (
     DataError,
     DimensionError,
@@ -52,9 +48,7 @@ __all__ = [
     "UndefinedMetricError",
     "complete",
     "compress",
-    "compress_svd",
-    "compress_tsvd",
-    "compress_tsvd_tubal",
+    "compress_sweep",
     "decode_payload",
     "fft_mode3",
     "frobenius",
@@ -64,16 +58,15 @@ __all__ = [
     "k_for_ratio",
     "multi_rank",
     "random_low_tubal_rank",
+    "rank_measures",
     "rse_db",
     "shrink_step",
     "svt",
     "t_product",
-    "t_product_reference",
     "t_svd",
     "tnn",
     "transpose",
     "truncate",
     "ttn",
     "tubal_rank",
-    "tube_mult",
 ]

@@ -28,26 +28,6 @@ def check_tensor(a, min_order: int = 3, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def tube_mult(a, b) -> np.ndarray:
-    """Circular convolution of two tubes (mode-3 fibers) of equal length.
-
-    ``c[k] = sum_j a[j] * b[(k - j) mod n]``; commutative and associative.
-    Evaluated by the direct definitional sum, O(n^2); production code uses the
-    spectral path in :func:`t_product` instead.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DimensionError("tubes must be one-dimensional")
-    if a.shape != b.shape:
-        raise DimensionError(f"tube lengths differ: {a.size} vs {b.size}")
-    n = a.size
-    if n == 0:
-        raise DimensionError("tubes must have length >= 1")
-    shift = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return (a[None, :] * b[shift]).sum(axis=1)
-
-
 def t_product(a, b) -> np.ndarray:
     """Tensor-tensor product under the tube-convolution algebra.
 
@@ -73,30 +53,6 @@ def t_product(a, b) -> np.ndarray:
     a_hat = transforms.to_stack(transforms.fft_mode3(a))
     b_hat = transforms.to_stack(transforms.fft_mode3(b))
     return transforms.ifft_stack(a_hat @ b_hat, a.shape[2:])
-
-
-def t_product_reference(a, b) -> np.ndarray:
-    """Brute-force t-product oracle: the literal sum of tube convolutions.
-
-    Test-only reference path; quadratic in the tube length and cubic in the
-    slice extents.  Order-3 operands only.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3:
-        raise DimensionError("reference t_product supports order-3 tensors only")
-    if a.shape[2] != b.shape[2]:
-        raise DimensionError(f"third extents differ: {a.shape[2]} vs {b.shape[2]}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner extents do not match: {a.shape[1]} vs {b.shape[0]}")
-    n1, n2, n3 = a.shape
-    n4 = b.shape[1]
-    out = np.zeros((n1, n4, n3))
-    for i in range(n1):
-        for j in range(n4):
-            for k in range(n2):
-                out[i, j, :] += tube_mult(a[i, k, :], b[k, j, :])
-    return out
 
 
 def transpose(a) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import compression, fileio
 from .completion import AdmmConfig, complete, rse_db
-from .decomposition import multi_rank, tnn, ttn, tubal_rank
+from .decomposition import rank_measures
 from .algebra import frobenius
 from .errors import (
     DataError,
@@ -62,6 +62,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if len(dims) < 3 or min(dims) < 1:
         raise DataError(f"dims must be >= 3 positive extents, got {text!r}")
     return dims
+
+
+def _parse_k_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise DataError(f"cannot parse --k-list {text!r}; expected e.g. 1,2,4")
 
 
 def _sanitize(value):
@@ -135,14 +142,13 @@ def _cmd_compress(args) -> dict:
     started = time.perf_counter()
     tensor = fileio.read_tensor(args.input)
     method = _method_name(args.method)
-    chosen = [int(k) for k in args.k_list.split(",")] if args.k_list else None
-    if chosen is not None:
+    if args.k_list is not None:
         if args.out or args.save_compressed:
             raise DataError("--out/--save-compressed are not valid in sweep mode")
-        records = []
-        for k in chosen:
-            records.append(_compress_record(compression.compress(tensor, method, k)))
-        results = {"sweep": records}
+        chosen = _parse_k_list(args.k_list)
+        sweep = compression.compress_sweep(tensor, method, chosen)
+        # map() drops each result before the sweep builds the next one.
+        results = {"sweep": list(map(_compress_record, sweep))}
         params = {"method": method, "k_list": chosen}
     else:
         if args.target_ratio is not None:
@@ -215,13 +221,7 @@ def _cmd_complete(args) -> dict:
 def _cmd_info(args) -> dict:
     started = time.perf_counter()
     tensor = fileio.read_tensor(args.input)
-    results = {
-        "multi_rank": multi_rank(tensor, args.tol).tolist(),
-        "tubal_rank": tubal_rank(tensor, args.tol),
-        "tnn": tnn(tensor),
-        "ttn": ttn(tensor),
-        "frobenius": frobenius(tensor),
-    }
+    results = {**rank_measures(tensor, args.tol), "frobenius": frobenius(tensor)}
     return _metrics("info", tensor.shape, {"tol": args.tol}, results, started)
 
 

@@ -24,6 +24,8 @@ leading remaining candidate.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,13 +86,7 @@ def k_max(method: str, dims) -> int:
 
 def ratio_for(method: str, dims, k: int) -> float:
     """Closed-form compression ratio for the given retention parameter."""
-    n1, n2, n3 = _check_dims3(dims)
-    _check_k(method, dims, k)
-    if method == "svd":
-        return n1 * n2 * n3 / (k * (n1 * n2 + n3 + 1))
-    if method == "tsvd":
-        return n1 * n2 * n3 / (k * (n1 + n2 + 1))
-    return n1 * n2 / (k * (n1 + n2 + 1))
+    return math.prod(_check_dims3(dims)) / stored_count_for(method, dims, k)
 
 
 def stored_count_for(method: str, dims, k: int) -> int:
@@ -140,31 +136,99 @@ def _check_k(method: str, dims, k: int) -> None:
         raise InfeasibleError(f"k={k} outside [1, {top}] for method {method} on dims {tuple(dims)}")
 
 
-def compress_svd(m, k1: int) -> CompressionResult:
-    """Rank-``k1`` truncated SVD of the slice-vectorized unfolding."""
+def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
+    """Compress ``m`` with one scheme at every retention parameter in ``ks``.
+
+    Yields one :class:`CompressionResult` per k, in order, building each only
+    when it is asked for, so a caller that drops each result before asking
+    for the next holds one reconstruction at a time.  The tensor and every k
+    are checked before anything is factored; the tensor is then factored once
+    for the whole sweep (the unfolding SVD for ``svd``, :func:`t_svd` for
+    ``tsvd`` and ``tsvd_tubal``).  At ``k == k_max`` the reconstruction is an
+    exact copy of the input.
+    """
     m = check_tensor(m, name="compression input")
-    n1, n2, n3 = _check_dims3(m.shape)
-    _check_k("svd", m.shape, k1)
-    unfolding = m.reshape(n1 * n2, n3, order="F")
-    u, s, vh = np.linalg.svd(unfolding, full_matrices=False)
-    payload = [
-        np.ascontiguousarray(u[:, :k1]),
-        np.ascontiguousarray(s[:k1]),
-        np.ascontiguousarray(vh[:k1, :].T),
-    ]
-    if k1 == k_max("svd", m.shape):
-        recon = m.copy()
-    else:
-        recon = ((u[:, :k1] * s[:k1]) @ vh[:k1, :]).reshape(n1, n2, n3, order="F")
+    top = k_max(method, m.shape)
+    ks = list(ks)
+    for k in ks:
+        _check_k(method, m.shape, k)
+    if not ks:
+        return
+    step = _FACTOR[method](m)
+    for k in ks:
+        payload, meta, rebuild = step(k)
+        yield _result(m, method, k, payload, meta, m.copy() if k == top else rebuild())
+
+
+def compress(m, method: str, k: int) -> CompressionResult:
+    """Compress ``m`` with the scheme named by ``method`` at one ``k``."""
+    return next(compress_sweep(m, method, [k]))
+
+
+def _result(m, method: str, k: int, payload, meta, recon) -> CompressionResult:
+    """The fields every scheme fills alike.  Kept out of the sweep's frame so
+    that the sweep holds no reconstruction while it builds the next one."""
     return CompressionResult(
-        method="svd",
-        k=k1,
-        ratio=ratio_for("svd", m.shape, k1),
-        achieved_ratio=n1 * n2 * n3 / sum(b.size for b in payload),
+        method=method,
+        k=k,
+        ratio=ratio_for(method, m.shape, k),
+        achieved_ratio=math.prod(m.shape) / sum(b.size for b in payload),
         rse_db=rse_db(recon, m),
         reconstruction=recon,
         payload=payload,
+        meta=meta,
     )
+
+
+# Each scheme factors the tensor once and returns its per-k step, which gives
+# the payload blocks, the tsvd record bookkeeping and a callable building the
+# reconstruction.
+
+def _svd_step(m):
+    """Rank-k truncated SVD of the slice-vectorized unfolding."""
+    n1, n2, n3 = m.shape
+    u, s, vh = np.linalg.svd(m.reshape(n1 * n2, n3, order="F"), full_matrices=False)
+
+    def step(k):
+        payload = [np.ascontiguousarray(a) for a in (u[:, :k], s[:k], vh[:k, :].T)]
+        return payload, [], lambda: ((u[:, :k] * s[:k]) @ vh[:k, :]).reshape(m.shape, order="F")
+
+    return step
+
+
+def _tsvd_step(m):
+    """Keep the k largest spectral f-diagonal entries globally.
+
+    Ties are broken by (slice index, diagonal index) ascending; an entry and
+    its conjugate are kept or dropped together so the reconstruction is real.
+    """
+    factors = t_svd(m)
+    real = transforms.real_slices(m.shape[2:])
+
+    def step(k):
+        records = _select_tsvd_records(factors.sig_hat, factors.u_hat, factors.v_hat, real, k)
+        payload = [np.concatenate(([scalar], u_part, v_part))
+                   for _, _, _, scalar, u_part, v_part in records]
+        meta = [(kind, j, i) for kind, j, i, _, _, _ in records]
+        return payload, meta, lambda: _decode_tsvd_records(records, m.shape)
+
+    return step
+
+
+def _tsvd_tubal_step(m):
+    """Keep the first k singular tubes (tensor-SVD truncation)."""
+    factors = t_svd(m)
+    n0 = min(m.shape[:2])
+    tubes = factors.s[np.arange(n0), np.arange(n0), :]
+
+    def step(k):
+        payload = [np.ascontiguousarray(a) for a in (factors.u[:, :k, :], tubes[:k], factors.v[:, :k, :])]
+        return payload, [], lambda: truncate(factors, k)
+
+    return step
+
+
+_FACTOR = {"svd": _svd_step, "tsvd": _tsvd_step, "tsvd_tubal": _tsvd_tubal_step}
 
 
 def _select_tsvd_records(sig: np.ndarray, u_hat: np.ndarray, v_hat: np.ndarray,
@@ -263,75 +327,6 @@ def _decode_tsvd_records(records, dims) -> np.ndarray:
     if pending:
         raise FormatError("unpaired pair-record in tsvd payload")
     return transforms.ifft_stack(stack, (n3,))
-
-
-def compress_tsvd(m, k2: int) -> CompressionResult:
-    """Keep the ``k2`` largest spectral f-diagonal entries globally.
-
-    Ties are broken by (slice index, diagonal index) ascending; an entry and
-    its conjugate are kept or dropped together so the reconstruction is real.
-    """
-    m = check_tensor(m, name="compression input")
-    n1, n2, n3 = _check_dims3(m.shape)
-    _check_k("tsvd", m.shape, k2)
-    factors = t_svd(m)
-    real = transforms.real_slices((n3,))
-    records = _select_tsvd_records(factors.sig_hat, factors.u_hat, factors.v_hat, real, k2)
-    payload = [np.concatenate(([scalar], u_part, v_part))
-               for _, _, _, scalar, u_part, v_part in records]
-    meta = [(kind, j, i) for kind, j, i, _, _, _ in records]
-    if k2 == k_max("tsvd", m.shape):
-        recon = m.copy()
-    else:
-        recon = _decode_tsvd_records(records, (n1, n2, n3))
-    return CompressionResult(
-        method="tsvd",
-        k=k2,
-        ratio=ratio_for("tsvd", m.shape, k2),
-        achieved_ratio=n1 * n2 * n3 / sum(b.size for b in payload),
-        rse_db=rse_db(recon, m),
-        reconstruction=recon,
-        payload=payload,
-        meta=meta,
-    )
-
-
-def compress_tsvd_tubal(m, k3: int) -> CompressionResult:
-    """Keep the first ``k3`` singular tubes (tensor-SVD truncation)."""
-    m = check_tensor(m, name="compression input")
-    n1, n2, n3 = _check_dims3(m.shape)
-    _check_k("tsvd_tubal", m.shape, k3)
-    factors = t_svd(m)
-    diag = np.arange(k3)
-    payload = [
-        np.ascontiguousarray(factors.u[:, :k3, :]),
-        np.ascontiguousarray(factors.s[diag, diag, :]),
-        np.ascontiguousarray(factors.v[:, :k3, :]),
-    ]
-    if k3 == k_max("tsvd_tubal", m.shape):
-        recon = m.copy()
-    else:
-        recon = truncate(factors, k3)
-    return CompressionResult(
-        method="tsvd_tubal",
-        k=k3,
-        ratio=ratio_for("tsvd_tubal", m.shape, k3),
-        achieved_ratio=n1 * n2 * n3 / sum(b.size for b in payload),
-        rse_db=rse_db(recon, m),
-        reconstruction=recon,
-        payload=payload,
-        meta=[],
-    )
-
-
-def compress(m, method: str, k: int) -> CompressionResult:
-    """Dispatch to the scheme named by ``method``."""
-    _check_method(method)
-    if method == "svd":
-        return compress_svd(m, k)
-    if method == "tsvd":
-        return compress_tsvd(m, k)
-    return compress_tsvd_tubal(m, k)
 
 
 def decode_payload(method: str, dims, k: int, scalars: np.ndarray,

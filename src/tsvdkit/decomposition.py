@@ -116,17 +116,22 @@ def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
     return transforms.ifft_stack(u @ vh, factors.dims[2:])
 
 
-def _spectral_singular_values(m) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of every stored spectral slice, shape
-    ``(n0, slices)``, and each slice's weight in full-spectrum sums."""
+def rank_measures(m, tol: float = 1e-8) -> dict:
+    """Multi-rank, tubal rank, TNN and TTN from one pass of spectral singular
+    values, keyed by the names of the functions that return each."""
     m = check_tensor(m)
-    sig = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)), compute_uv=False)
-    return sig.T, transforms.slice_weights(m.shape[2:])
-
-
-def _tube_norms(sig: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """l2 norms of the singular tubes, by Parseval over the full spectrum."""
-    return np.sqrt((sig**2) @ weights / weights.sum())
+    trailing = m.shape[2:]
+    sig = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)), compute_uv=False).T
+    weights = transforms.slice_weights(trailing)
+    # l2 norms of the singular tubes, by Parseval over the full spectrum.
+    tube_norms = np.sqrt((sig**2) @ weights / weights.sum())
+    ranks = (sig > tol * sig.max(initial=0.0)).sum(axis=0).astype(np.int64)
+    return {
+        "multi_rank": transforms.full_slices(ranks, trailing),
+        "tubal_rank": int((tube_norms > tol * tube_norms.max(initial=0.0)).sum()),
+        "tnn": float(sig.sum(axis=0) @ weights),
+        "ttn": float(tube_norms.sum()),
+    }
 
 
 def multi_rank(m, tol: float = 1e-8) -> np.ndarray:
@@ -136,10 +141,7 @@ def multi_rank(m, tol: float = 1e-8) -> np.ndarray:
     the largest singular value over *all* slices.  Returns one integer per
     merged spectral slice (``n3`` of them for order 3).
     """
-    sig, _ = _spectral_singular_values(m)
-    threshold = tol * sig.max(initial=0.0)
-    ranks = (sig > threshold).sum(axis=0).astype(np.int64)
-    return transforms.full_slices(ranks, np.shape(m)[2:])
+    return rank_measures(m, tol)["multi_rank"]
 
 
 def tubal_rank(m, tol: float = 1e-8) -> int:
@@ -148,19 +150,16 @@ def tubal_rank(m, tol: float = 1e-8) -> int:
     A tube counts when its l2 norm exceeds ``tol`` times the largest tube
     norm; the norms come from the spectral singular values via Parseval.
     """
-    tube_norms = _tube_norms(*_spectral_singular_values(m))
-    top = tube_norms.max(initial=0.0)
-    return int((tube_norms > tol * top).sum())
+    return rank_measures(m, tol)["tubal_rank"]
 
 
 def tnn(m) -> float:
     """Tensor nuclear norm: the summed singular values of every spectral
     frontal slice, equal to the nuclear norm of the block-diagonal spectral
     matrix."""
-    sig, weights = _spectral_singular_values(m)
-    return float(sig.sum(axis=0) @ weights)
+    return rank_measures(m)["tnn"]
 
 
 def ttn(m) -> float:
     """Tensor tubal norm: the summed l2 norms of the singular tubes."""
-    return float(_tube_norms(*_spectral_singular_values(m)).sum())
+    return rank_measures(m)["ttn"]

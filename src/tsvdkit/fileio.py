@@ -21,12 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .compression import CompressionResult, stored_count_for
-from .errors import DataError, DimensionError, FormatError
+from .errors import DataError, DimensionError, FormatError, InfeasibleError
 
 TENSOR_MAGIC = b"TSR1"
 COMPRESSED_MAGIC = b"TSC1"
 _METHOD_TAGS = {"svd": 1, "tsvd": 2, "tsvd_tubal": 3}
 _TAG_METHODS = {tag: name for name, tag in _METHOD_TAGS.items()}
+# Magic, method and order bytes, three extents, k and the two counts.
+_COMPRESSED_HEADER = 6 + 8 * 3 + 24
 
 
 def tensor_to_bytes(a: np.ndarray) -> bytes:
@@ -188,33 +190,37 @@ def write_compressed(path, result: CompressionResult, dims) -> None:
 
 
 def compressed_from_bytes(data: bytes):
-    """Parse a TSC1 blob into ``(method, dims, k, scalars, meta)``."""
+    """Parse a TSC1 blob into ``(method, dims, k, scalars, meta)``; a blob
+    that breaks the format in any way raises ``FormatError``."""
     if len(data) < 6 or data[:4] != COMPRESSED_MAGIC:
         raise FormatError("not a TSC1 compressed file (bad magic)")
     tag, order = data[4], data[5]
     if tag not in _TAG_METHODS:
         raise FormatError(f"unknown method tag {tag}")
-    pos = 6
-    dims = tuple(int(d) for d in np.frombuffer(data[pos: pos + 8 * order], dtype="<u8"))
-    pos += 8 * order
-    k, n_records, n_scalars = struct.unpack_from("<QQQ", data, pos)
-    pos += 24
+    if order != 3:
+        raise FormatError(f"compressed tensors have order 3, got order {order}")
+    if len(data) < _COMPRESSED_HEADER:
+        raise FormatError("truncated compressed header")
+    *dims, k, n_records, n_scalars = struct.unpack_from("<6Q", data, 6)
+    dims = tuple(dims)
     method = _TAG_METHODS[tag]
-    if n_scalars != stored_count_for(method, dims, k):
+    try:
+        expected = stored_count_for(method, dims, k)
+    except (DimensionError, InfeasibleError) as exc:
+        raise FormatError(f"bad compressed header: {exc}") from exc
+    if n_scalars != expected:
         raise FormatError(
             f"scalar count {n_scalars} does not match method {method} with k={k} on dims {dims}"
         )
-    scalars = np.frombuffer(data[pos: pos + 8 * n_scalars], dtype="<f8").astype(np.float64)
-    if scalars.size != n_scalars:
-        raise FormatError("truncated scalar block")
-    pos += 8 * n_scalars
-    meta = []
-    for _ in range(n_records):
-        kind, j, i = struct.unpack_from("<BII", data, pos)
-        pos += 9
-        meta.append((kind, j, i))
-    if pos != len(data):
-        raise FormatError("trailing bytes after compressed payload")
+    if n_records != (k if method == "tsvd" else 0):
+        raise FormatError(f"record count {n_records} does not match method {method} with k={k}")
+    end = _COMPRESSED_HEADER + 8 * n_scalars
+    if len(data) != end + 9 * n_records:
+        raise FormatError(
+            f"compressed file has {len(data)} bytes, its header declares {end + 9 * n_records}"
+        )
+    scalars = np.frombuffer(data[_COMPRESSED_HEADER:end], dtype="<f8").astype(np.float64)
+    meta = list(struct.iter_unpack("<BII", data[end:]))
     return method, dims, int(k), scalars, meta
 
 

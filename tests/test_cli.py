@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tsvdkit import compression, fileio
+from tsvdkit import compression, fileio, transforms
 from tsvdkit.cli import main
 
 METRICS_KEYS = {"command", "dims", "parameters", "results", "wall_time_s"}
@@ -123,6 +123,21 @@ class TestCompressCommand:
         values = [r["rse_db"] for r in sweep]
         numeric = [-1e9 if v == "-inf" else v for v in values]
         assert all(b <= a + 1e-9 for a, b in zip(numeric, numeric[1:]))
+
+    @pytest.mark.parametrize("k_list", ["1,x", "1,,2", ""])
+    def test_malformed_k_list_exits_2(self, tensor_file, capsys, k_list):
+        code, _ = run(capsys, "compress", str(tensor_file), "--method", "svd", "--k-list", k_list)
+        assert code == 2
+
+    @pytest.mark.parametrize("method", ["svd", "tsvd", "tsvd-tubal"])
+    def test_infeasible_k_in_list_exits_4_unfactored(self, tensor_file, capsys, monkeypatch, method):
+        def factor(*args, **kwargs):
+            raise AssertionError("factored before checking every k")
+
+        monkeypatch.setattr(compression, "t_svd", factor)
+        monkeypatch.setattr(np.linalg, "svd", factor)
+        code, _ = run(capsys, "compress", str(tensor_file), "--method", method, "--k-list", "1,99")
+        assert code == 4
 
     def test_sweep_mode_rejects_out(self, tensor_file, capsys, tmp_path):
         code, _ = run(
@@ -280,6 +295,21 @@ class TestInfoCommand:
         fileio.write_tensor(path, tensor)
         code, _ = run(capsys, "info", str(path))
         assert code == 3
+
+    def test_one_sigma_pass(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        svd_slices = transforms.svd_slices
+
+        def counting_svd_slices(*args, **kwargs):
+            calls.append(kwargs)
+            return svd_slices(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "svd_slices", counting_svd_slices)
+        path = tmp_path / "m.tsr"
+        fileio.write_tensor(path, np.random.default_rng(6).standard_normal((5, 4, 6)))
+        code, _ = run(capsys, "info", str(path))
+        assert code == 0
+        assert calls == [{"compute_uv": False}]
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "info", "/nonexistent/path.tsr")

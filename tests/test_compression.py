@@ -67,7 +67,7 @@ class TestCompressSvd:
     def test_full_rank_is_exact(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((5, 4, 6))
-        result = compression.compress_svd(m, min(5 * 4, 6))
+        result = compression.compress(m, "svd", min(5 * 4, 6))
         assert np.array_equal(result.reconstruction, m)
         assert result.rse_db == float("-inf")
 
@@ -76,14 +76,14 @@ class TestCompressSvd:
         column = rng.standard_normal(5 * 4)
         weights = rng.standard_normal(6)
         m = np.outer(column, weights).reshape(5, 4, 6, order="F")
-        result = compression.compress_svd(m, 1)
+        result = compression.compress(m, "svd", 1)
         assert rel(result.reconstruction, m) <= 1e-12
 
     def test_stored_scalars_match_denominator(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((5, 4, 6))
         for k in range(1, 7):
-            result = compression.compress_svd(m, k)
+            result = compression.compress(m, "svd", k)
             assert result.stored_scalars == k * (5 * 4 + 6 + 1)
             assert result.achieved_ratio == pytest.approx(result.ratio, rel=1e-12)
 
@@ -92,7 +92,7 @@ class TestCompressTsvd:
     def test_full_budget_is_exact(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 4, 6))
-        result = compression.compress_tsvd(m, 4 * 6)
+        result = compression.compress(m, "tsvd", 4 * 6)
         assert np.array_equal(result.reconstruction, m)
         assert result.rse_db == float("-inf")
 
@@ -100,21 +100,21 @@ class TestCompressTsvd:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((5, 4, 6))
         for k2 in range(1, 4 * 6 + 1):
-            result = compression.compress_tsvd(m, k2)
+            result = compression.compress(m, "tsvd", k2)
             assert result.stored_scalars == k2 * (5 + 4 + 1)
             assert len(result.meta) == k2
 
     def test_rse_nonincreasing_in_budget(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((6, 5, 4))
-        errors = [compression.compress_tsvd(m, k2).rse_db for k2 in range(1, 5 * 4 + 1)]
+        errors = [compression.compress(m, "tsvd", k2).rse_db for k2 in range(1, 5 * 4 + 1)]
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
     def test_reconstruction_is_real_and_symmetric_selection(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((4, 4, 5))
         for k2 in (1, 3, 7, 12):
-            result = compression.compress_tsvd(m, k2)
+            result = compression.compress(m, "tsvd", k2)
             assert result.reconstruction.dtype == np.float64
             assert np.isfinite(result.reconstruction).all()
 
@@ -123,8 +123,8 @@ class TestCompressTsvd:
             m = synthesis.random_low_tubal_rank((8, 7, 5), 4, seed=seed)
             m += 0.05 * np.random.default_rng(100 + seed).standard_normal((8, 7, 5))
             for k3 in (1, 2, 3):
-                spectral = compression.compress_tsvd(m, 5 * k3).rse_db
-                tubal = compression.compress_tsvd_tubal(m, k3).rse_db
+                spectral = compression.compress(m, "tsvd", 5 * k3).rse_db
+                tubal = compression.compress(m, "tsvd_tubal", k3).rse_db
                 assert spectral <= tubal + 1e-9
 
 
@@ -134,21 +134,77 @@ class TestCompressTubal:
         m = rng.standard_normal((6, 5, 4))
         factors = decomposition.t_svd(m)
         for k3 in range(1, 5):
-            result = compression.compress_tsvd_tubal(m, k3)
+            result = compression.compress(m, "tsvd_tubal", k3)
             expected = m if k3 == 5 else decomposition.truncate(factors, k3)
             assert rel(result.reconstruction, expected) <= 1e-12
 
     def test_synthetic_rank_is_exact(self):
         m = synthesis.random_low_tubal_rank((10, 9, 6), 3, seed=8)
-        result = compression.compress_tsvd_tubal(m, 3)
+        result = compression.compress(m, "tsvd_tubal", 3)
         assert rel(result.reconstruction, m) <= 1e-9
 
     def test_stored_scalars(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((6, 5, 4))
         for k3 in range(1, 6):
-            result = compression.compress_tsvd_tubal(m, k3)
+            result = compression.compress(m, "tsvd_tubal", k3)
             assert result.stored_scalars == k3 * (6 + 5 + 1) * 4
+
+
+class TestCompressSweep:
+    @pytest.mark.parametrize("method,ks", [("svd", [1, 3, 6]), ("tsvd", [1, 3, 22, 24]),
+                                           ("tsvd_tubal", [1, 2, 4])])
+    def test_matches_separate_runs(self, method, ks):
+        # The last k of each list is k_max; tsvd k=22 ends on a HALF record.
+        m = np.random.default_rng(14).standard_normal((5, 4, 6))
+        swept = list(compression.compress_sweep(m, method, ks))
+        assert [result.k for result in swept] == ks
+        assert ks[-1] == compression.k_max(method, m.shape)
+        if method == "tsvd":
+            assert swept[2].meta[-1][0] == compression.HALF
+        for got in swept:
+            want = compression.compress(m, method, got.k)
+            assert got.meta == want.meta
+            assert len(got.payload) == len(want.payload)
+            assert all(np.array_equal(a, b) for a, b in zip(got.payload, want.payload))
+            assert np.array_equal(got.reconstruction, want.reconstruction)
+            assert got.rse_db == want.rse_db
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        counts = {"t_svd": 0, "svd": 0}
+        t_svd, svd = compression.t_svd, np.linalg.svd
+
+        def counting_t_svd(m):
+            counts["t_svd"] += 1
+            return t_svd(m)
+
+        def counting_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(compression, "t_svd", counting_t_svd)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return counts
+
+    @pytest.mark.parametrize("method", compression.METHODS)
+    def test_one_factorization_per_sweep(self, method, factorizations):
+        m = np.random.default_rng(15).standard_normal((5, 4, 6))
+        ks = range(1, compression.k_max(method, m.shape) + 1)
+        assert len(list(compression.compress_sweep(m, method, ks))) == len(ks)
+        if method == "svd":
+            assert factorizations == {"t_svd": 0, "svd": 1}
+        else:
+            assert factorizations["t_svd"] == 1
+
+    @pytest.mark.parametrize("method", compression.METHODS)
+    def test_bad_k_fails_before_factoring(self, method, factorizations):
+        m = np.random.default_rng(16).standard_normal((5, 4, 6))
+        top = compression.k_max(method, m.shape)
+        for ks in ([top + 1, 1], [1, 2, 0], [1, top + 1, 2]):
+            with pytest.raises(InfeasibleError):
+                next(compression.compress_sweep(m, method, ks))
+        assert factorizations == {"t_svd": 0, "svd": 0}
 
 
 class TestDecodePayload:
@@ -178,7 +234,7 @@ class TestTsvdRecordValidation:
     def setup_method(self):
         rng = np.random.default_rng(13)
         self.m = rng.standard_normal((4, 3, 6))
-        self.result = compression.compress_tsvd(self.m, 6)
+        self.result = compression.compress(self.m, "tsvd", 6)
         self.scalars = np.concatenate([b.ravel(order="F") for b in self.result.payload])
 
     def decode(self, meta):

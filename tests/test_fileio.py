@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,14 @@ class TestPgm:
             fileio.read_pgm(tmp_path / "deep.pgm")
 
 
+# Offsets of the uint64 k and record-count fields of an order-3 TSC1 header.
+K_AT, RECORDS_AT = 30, 38
+
+
+def with_field(blob, offset, value):
+    return blob[:offset] + struct.pack("<Q", value) + blob[offset + 8:]
+
+
 class TestCompressedFile:
     @pytest.mark.parametrize("method,k", [("svd", 2), ("tsvd", 5), ("tsvd_tubal", 3)])
     def test_round_trip(self, tmp_path, method, k):
@@ -186,3 +196,28 @@ class TestCompressedFile:
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             fileio.compressed_from_bytes(b"XXXX" + bytes(30))
+
+    @pytest.mark.parametrize(
+        "method,k,corrupt",
+        [
+            ("tsvd", 5, lambda blob: blob[:40]),
+            ("svd", 2, lambda blob: blob[:61]),
+            ("tsvd", 5, lambda blob: blob[:-4]),
+            ("svd", 2, lambda blob: blob + bytes(1)),
+            ("svd", 2, lambda blob: with_field(blob, K_AT, 0)),
+            ("tsvd_tubal", 2, lambda blob: with_field(blob, K_AT, 5)),
+            ("svd", 2, lambda blob: blob[:5] + bytes([4]) + blob[6:] + bytes(8)),
+            ("svd", 2, lambda blob: with_field(blob, 6, 0)),
+            ("tsvd", 5, lambda blob: with_field(blob, RECORDS_AT, 4)[:-9]),
+            ("svd", 2, lambda blob: with_field(blob, RECORDS_AT, 1) + bytes(9)),
+        ],
+        ids=["truncated-header", "truncated-scalar-block", "truncated-record-table",
+             "trailing-bytes", "k-zero", "k-above-max", "order-4", "zero-extent",
+             "tsvd-record-count", "svd-record-count"],
+    )
+    def test_malformed_header_rejected(self, method, k, corrupt):
+        m = np.random.default_rng(4).standard_normal((5, 4, 6))
+        blob = fileio.compressed_to_bytes(compression.compress(m, method, k), m.shape)
+        fileio.compressed_from_bytes(blob)
+        with pytest.raises(FormatError):
+            fileio.compressed_from_bytes(corrupt(blob))

@@ -76,10 +76,14 @@ def test_norms_and_ranks(tensor):
     sig = oracle_sigmas(tensor)
     rho = sig.shape[1]
     tube_norms = np.sqrt((sig**2).sum(axis=1) / rho)
-    assert decomposition.tnn(tensor) == pytest.approx(sig.sum(), rel=1e-10)
-    assert decomposition.ttn(tensor) == pytest.approx(tube_norms.sum(), rel=1e-10)
-    assert decomposition.multi_rank(tensor).tolist() == (sig > 1e-8 * sig.max()).sum(axis=0).tolist()
-    assert decomposition.tubal_rank(tensor) == int((tube_norms > 1e-8 * tube_norms.max()).sum())
+    measures = decomposition.rank_measures(tensor)
+    assert measures["tnn"] == pytest.approx(sig.sum(), rel=1e-10)
+    assert measures["ttn"] == pytest.approx(tube_norms.sum(), rel=1e-10)
+    assert measures["multi_rank"].tolist() == (sig > 1e-8 * sig.max()).sum(axis=0).tolist()
+    assert measures["tubal_rank"] == int((tube_norms > 1e-8 * tube_norms.max()).sum())
+    assert set(measures) == {"multi_rank", "tubal_rank", "tnn", "ttn"}
+    for name, value in measures.items():
+        assert np.array_equal(getattr(decomposition, name)(tensor), value)
 
 
 def test_low_multi_rank_in_the_planes():
