@@ -3,7 +3,9 @@
 
 For each sampling rate, draws several independent Bernoulli masks (one seed
 per run, recorded in the output), recovers the tensor, and reports the RSE in
-dB.  Writes one CSV row per run plus a per-rate median summary on stdout.
+dB and the recovered tubal rank (``final_rank``, the iterate rank of the last
+iteration).  Writes one CSV row per run plus a per-rate median summary on
+stdout.
 
 Example:
     python scripts/completion_sweep.py --dims 30x30x10 --rank 2 \
@@ -59,6 +61,7 @@ def main(argv=None) -> int:
                 "iterations": solve.iterations,
                 "converged": solve.converged,
                 "rse_db": solve.final_rse_db,
+                "final_rank": solve.ranks[-1],
             })
             rses.append(solve.final_rse_db)
         print(f"rate {rate:.2f}: median RSE {np.median(rses):8.2f} dB over {args.seeds} runs")

@@ -203,6 +203,7 @@ def _cmd_complete(args) -> dict:
         "rse_db": report.final_rse_db,
         "residual_trace": report.primal_residuals,
         "tnn_trace": report.tnn_values,
+        "rank_trace": report.ranks,
         "out": args.out,
     }
     params = {

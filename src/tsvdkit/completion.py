@@ -5,7 +5,8 @@ minimizing the tensor nuclear norm subject to agreeing with the observations.
 The split-variable recursion alternates an exact constraint projection (done
 entrywise in the original domain), a singular-value shrinkage on every
 spectral frontal slice (the proximal map of the penalty, threshold
-``1/rho``), and a unit-step dual update.
+``1/rho``), and a unit-step dual update.  Once the iterate has low rank, the
+shrinkage computes only the leading singular triplets of each slice.
 """
 
 from __future__ import annotations
@@ -53,39 +54,113 @@ class AdmmConfig:
 
 @dataclass
 class SolveReport:
-    """Per-iteration diagnostics of one completion run."""
+    """Per-iteration diagnostics of one completion run.
+
+    ``ranks`` holds the iterate rank of each iteration: the largest count,
+    over the spectral slices, of singular values above the threshold.
+    """
 
     iterations: int
     primal_residuals: list[float]
     tnn_values: list[float]
     converged: bool
     final_rse_db: float | None = field(default=None)
+    ranks: list[int] = field(default_factory=list)
 
 
 def svt(w, tau: float) -> np.ndarray:
     """Singular value thresholding: the proximal map of ``tau * nuclear norm``.
 
     Every singular value ``sigma`` of ``w`` is replaced by
-    ``max(sigma - tau, 0)``, i.e. scaled by ``(1 - tau/sigma)_+``.
+    ``max(sigma - tau, 0)``, i.e. scaled by ``(1 - tau/sigma)_+``.  A real
+    ``w`` gives a real result.
+
+    Raises
+    ------
+    NumericalError
+        If ``w`` holds a non-finite entry or its SVD fails to converge.
     """
     if tau < 0:
         raise DataError(f"threshold must be nonnegative, got {tau}")
     w = np.asarray(w)
     if w.ndim != 2:
         raise DimensionError(f"svt expects a matrix, got order {w.ndim}")
-    try:
-        u, s, vh = np.linalg.svd(w, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed in svt: {exc}") from exc
-    return (u * np.maximum(s - tau, 0.0)) @ vh
+    out = _shrink(w[None], tau)[0][0]
+    return out if np.iscomplexobj(w) else out.real
 
 
-def _shrink(w_stack: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """svt on every slice of a spectral stack; returns the shrunk stack and
-    the thresholded singular values, one row per slice."""
-    u, s, vh = transforms.svd_slices(w_stack, full_matrices=False)
+def _threshold(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float):
+    """The shrunk stack from slice factors whose leading singular values are
+    ``s``, the thresholded singular values (one row per slice), and the rank:
+    the largest per-slice count of ``sigma > tau``."""
     shrunk = np.maximum(s - tau, 0.0)
-    return (u * shrunk[:, None, :]) @ vh, shrunk
+    rank = int(np.count_nonzero(shrunk, axis=1).max())
+    return (u[:, :, :rank] * shrunk[:, None, :rank]) @ vh[:, :rank, :], shrunk, rank
+
+
+def _shrink(w_stack: np.ndarray, tau: float):
+    """svt on every slice of a spectral stack, from full slice SVDs; returns
+    what :func:`_threshold` returns."""
+    return _threshold(*transforms.svd_slices(w_stack, full_matrices=False), tau)
+
+
+# Right-basis columns kept beyond the iterate rank between shrink steps.
+_OVERSAMPLE = 5
+
+
+class _RankAdaptiveShrink:
+    """The shrink step of one solve; once the iterate rank is small it
+    computes only the leading triplets of each slice.
+
+    Between calls it keeps a right basis per slice, of width ``r +
+    _OVERSAMPLE`` with ``r`` the rank of the last shrink, and factors the
+    next stack from it with :func:`transforms.partial_svd_slices`: one
+    range-finder step warm-started from the previous subspace.  As SVT does
+    (Cai, Candes and Shen, arXiv:0810.3286), a slice whose smallest computed
+    singular value is above ``tau`` may hold more triplets to shrink; the
+    basis then doubles, with columns from a generator seeded per solve, and
+    the stack is factored again.  The first call, and any whose basis would
+    be wider than ``min(n1, n2) // 2``, runs the full
+    :func:`transforms.svd_slices`.
+    """
+
+    def __init__(self, tau: float, n1: int, n2: int):
+        self.tau = tau
+        self.max_width = min(n1, n2) // 2
+        self.basis: np.ndarray | None = None
+        self.rng = np.random.default_rng(0)
+
+    def __call__(self, w_stack: np.ndarray):
+        """What :func:`_shrink` returns for ``w_stack``."""
+        factors = None if self.basis is None else self._partial(w_stack)
+        if factors is None:
+            factors = transforms.svd_slices(w_stack, full_matrices=False)
+        out, shrunk, rank = _threshold(*factors, self.tau)
+        width = rank + _OVERSAMPLE
+        self.basis = self._basis(factors[2], width) if width <= self.max_width else None
+        return out, shrunk, rank
+
+    def _partial(self, w_stack: np.ndarray):
+        """Partial slice factors that pass the SVT check, or None when the
+        basis would grow past ``max_width``."""
+        basis = self.basis
+        while True:
+            u, s, vh = transforms.partial_svd_slices(w_stack, basis)
+            if (s[:, -1] <= self.tau).all():
+                return u, s, vh
+            width = 2 * basis.shape[2]
+            if width > self.max_width:
+                return None
+            basis = self._basis(vh, width)
+
+    def _basis(self, vh: np.ndarray, width: int) -> np.ndarray:
+        """The leading ``width`` right singular vectors of each slice, made up
+        to ``width`` with random columns where ``vh`` has fewer rows."""
+        v = vh[:, :width, :].conj().swapaxes(1, 2)
+        missing = width - v.shape[2]
+        if missing <= 0:
+            return v
+        return np.concatenate([v, self.rng.standard_normal(v.shape[:2] + (missing,))], axis=2)
 
 
 def shrink_step(w_hat, tau: float) -> np.ndarray:
@@ -99,7 +174,7 @@ def shrink_step(w_hat, tau: float) -> np.ndarray:
         raise DimensionError(f"expected order >= 3, got order {w_hat.ndim}")
     if tau < 0:
         raise DataError(f"threshold must be nonnegative, got {tau}")
-    out, _ = _shrink(transforms.to_stack(w_hat), tau)
+    out, _, _ = _shrink(transforms.to_stack(w_hat), tau)
     return transforms.from_stack(out, w_hat.shape[2:])
 
 
@@ -148,13 +223,15 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
     q = np.zeros_like(y)
     residuals: list[float] = []
     tnn_values: list[float] = []
+    ranks: list[int] = []
     converged = False
+    shrink = _RankAdaptiveShrink(tau, *y.shape[:2])
 
     for it in range(1, cfg.max_iter + 1):
         x = np.where(sampler.mask, y, z - q)
         if cfg.positivity:
             x = np.maximum(x, 0.0)
-        z_stack, shrunk = _shrink(transforms.to_stack(transforms.fft_mode3(x + q)), tau)
+        z_stack, shrunk, rank = shrink(transforms.to_stack(transforms.fft_mode3(x + q)))
         z = transforms.ifft_stack(z_stack, trailing)
         q = q + x - z
         if not (np.isfinite(z).all() and np.isfinite(q).all()):
@@ -164,6 +241,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         residual = frobenius(x - z) / max(1.0, frobenius(x))
         residuals.append(residual)
         tnn_values.append(float(shrunk.sum(axis=1) @ weights))
+        ranks.append(rank)
         if residual <= cfg.tol_primal:
             converged = True
             break
@@ -175,6 +253,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         tnn_values=tnn_values,
         converged=converged,
         final_rse_db=None if truth is None else rse_db(x, truth),
+        ranks=ranks,
     )
     return x, report
 

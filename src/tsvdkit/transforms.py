@@ -175,6 +175,28 @@ def _join(real: np.ndarray, from_real: np.ndarray, from_complex: np.ndarray) -> 
     return out
 
 
+def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
+    """Apply a batched factorization to the real and to the complex slices of
+    a spectral stack, and join its outputs slice by slice.
+
+    ``per_slice`` operands are split along with the slices; a real slice gets
+    their real part.  A slice whose imaginary part is exactly zero is factored
+    as a real matrix, so its factors are real.
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    if not np.isfinite(stack).all():
+        raise NumericalError("spectral slices are not finite; the transform overflowed")
+    real = ~stack.imag.any(axis=(1, 2))
+    try:
+        from_real = factor(stack[real].real, *(op[real].real for op in per_slice))
+        from_complex = factor(stack[~real], *(op[~real] for op in per_slice))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
+    if isinstance(from_complex, np.ndarray):
+        return _join(real, from_real, from_complex)
+    return tuple(_join(real, r, c) for r, c in zip(from_real, from_complex))
+
+
 def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     """SVD of every slice of a ``(slices, n1, n2)`` spectral stack.
 
@@ -190,18 +212,33 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
         If a slice holds a non-finite entry (the forward transform
         overflowed) or an SVD fails to converge.
     """
-    stack = np.asarray(stack, dtype=np.complex128)
-    if not np.isfinite(stack).all():
-        raise NumericalError("spectral slices are not finite; the transform overflowed")
-    real = ~stack.imag.any(axis=(1, 2))
-    try:
-        from_real = np.linalg.svd(stack[real].real, full_matrices, compute_uv)
-        from_complex = np.linalg.svd(stack[~real], full_matrices, compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
-    if not compute_uv:
-        return _join(real, from_real, from_complex)
-    return tuple(_join(real, r, c) for r, c in zip(from_real, from_complex))
+    return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv))
+
+
+def _range_svd(a: np.ndarray, v: np.ndarray):
+    q, _ = np.linalg.qr(a @ v)
+    ub, s, vh = np.linalg.svd(q.conj().swapaxes(1, 2) @ a, full_matrices=False)
+    return q @ ub, s, vh
+
+
+def partial_svd_slices(stack: np.ndarray, basis: np.ndarray):
+    """Leading singular triplets of every slice of a ``(slices, n1, n2)``
+    spectral stack, found from a right basis of shape ``(slices, n2, l)``,
+    ``l <= min(n1, n2)``.
+
+    One batched range-finder step (Halko, Martinsson and Tropp,
+    arXiv:0909.4061): ``q = qr(a @ v)``, then the SVD of the small
+    ``q^H a``.  Returns ``(u, s, vh)`` with ``l`` triplets per slice.  They
+    are exact when ``a @ v`` spans the column space of the slice, as it does
+    for a slice of rank at most ``l`` and a generic basis, and close to exact
+    when the basis is close to the slice's leading right singular subspace,
+    as a basis warm-started from a nearby matrix is.
+
+    Real slices are factored as real matrices from the real part of their
+    basis, as in :func:`svd_slices`, which also raises the same
+    ``NumericalError`` for a non-finite slice or a failed factorization.
+    """
+    return _factor_slices(stack, _range_svd, np.asarray(basis, dtype=np.complex128))
 
 
 class SamplingOperator:

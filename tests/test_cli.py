@@ -200,10 +200,12 @@ class TestCompleteCommand:
         results = record["results"]
         assert set(results) == {
             "iterations", "converged", "final_primal_residual", "rse_db",
-            "residual_trace", "tnn_trace", "out",
+            "residual_trace", "tnn_trace", "rank_trace", "out",
         }
         assert results["rse_db"] <= -40
         assert len(results["residual_trace"]) == results["iterations"]
+        assert len(results["rank_trace"]) == results["iterations"]
+        assert all(isinstance(r, int) for r in results["rank_trace"])
 
     def test_mask_file(self, truth_file, capsys, tmp_path):
         mask = (np.random.default_rng(0).random((20, 20, 6)) < 0.7).astype(float)

@@ -33,6 +33,20 @@ class TestSvt:
         with pytest.raises(DataError):
             completion.svt(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_entry_raises(self, bad):
+        w = np.random.default_rng(8).standard_normal((4, 3))
+        w[0, 0] = bad
+        with pytest.raises(NumericalError):
+            completion.svt(w, 0.1)
+
+    def test_real_input_gives_real_output(self):
+        w = np.random.default_rng(9).standard_normal((4, 3))
+        got = completion.svt(w, 0.5)
+        assert not np.iscomplexobj(got)
+        u, s, vh = np.linalg.svd(w, full_matrices=False)
+        assert np.allclose(got, (u * np.maximum(s - 0.5, 0.0)) @ vh, atol=1e-12)
+
     def test_prox_optimality_monte_carlo(self):
         rng = np.random.default_rng(1)
         w = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
@@ -86,6 +100,111 @@ class TestShrinkStep:
                 algebra.transpose(factors.v),
             )
             assert rel(lhs, rhs) <= 1e-9
+
+
+def spectral_stack(dims, rank, seed):
+    return transforms.to_stack(transforms.fft_mode3(synthesis.random_low_tubal_rank(dims, rank, seed)))
+
+
+def warm_basis(stack, width, seed):
+    """Leading right singular vectors of a perturbed copy of ``stack``: the
+    basis the previous iteration of a solve would leave."""
+    rng = np.random.default_rng(seed)
+    bump = 1e-3 * np.abs(stack).max() * rng.standard_normal(stack.shape)
+    _, _, vh = np.linalg.svd(stack + bump, full_matrices=False)
+    return vh[:, :width, :].conj().swapaxes(1, 2)
+
+
+class TestRankAdaptiveShrink:
+    """The partial shrink of a solve against the stateless full one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"full": 0, "partial": 0}
+        for name, key in (("svd_slices", "full"), ("partial_svd_slices", "partial")):
+            original = getattr(transforms, name)
+
+            def counting(*args, _original=original, _key=key, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(transforms, name, counting)
+        return counts
+
+    @staticmethod
+    def partial_shrink(stack, tau, basis):
+        shrink = completion._RankAdaptiveShrink(tau, *stack.shape[1:])
+        shrink.basis = basis
+        return shrink(stack)
+
+    @staticmethod
+    def full_shrink(stack, tau, stored_dims):
+        out = completion.shrink_step(transforms.from_stack(stack, stored_dims), tau)
+        return transforms.to_stack(out)
+
+    @staticmethod
+    def tau_for_rank(stack, rank):
+        """A threshold between the rank-th singular value of every slice and
+        the largest one below it."""
+        s = np.linalg.svd(stack, compute_uv=False)
+        return 0.5 * (s[:, rank - 1].min() + s[:, rank:].max())
+
+    def test_warm_basis_of_the_right_width(self, calls):
+        stack = spectral_stack((20, 20, 6), 3, seed=20)
+        tau = self.tau_for_rank(stack, 2)
+        out, shrunk, rank = self.partial_shrink(stack, tau, warm_basis(stack, 2 + 5, seed=21))
+        assert calls == {"full": 0, "partial": 1}
+        assert rank == 2
+        assert rel(out, self.full_shrink(stack, tau, (4,))) <= 1e-10
+
+    def test_narrow_basis_grows(self, calls):
+        stack = spectral_stack((24, 24, 5), 6, seed=22)
+        tau = 1e-3 * self.tau_for_rank(stack, 6)
+        narrow = np.random.default_rng(23).standard_normal((stack.shape[0], 24, 2))
+        out, _, rank = self.partial_shrink(stack, tau, narrow)
+        assert calls == {"full": 0, "partial": 3}  # widths 2, 4, 8
+        assert rank == 6
+        assert rel(out, self.full_shrink(stack, tau, (3,))) <= 1e-10
+
+    def test_rectangular_slices(self, calls):
+        stack = spectral_stack((24, 16, 5), 2, seed=24)
+        tau = self.tau_for_rank(stack, 2)
+        out, _, rank = self.partial_shrink(stack, tau, warm_basis(stack, 7, seed=25))
+        assert calls == {"full": 0, "partial": 1}
+        assert rank == 2
+        assert rel(out, self.full_shrink(stack, tau, (3,))) <= 1e-10
+
+    def test_order4_real_slices_stay_real(self, calls):
+        dims = (16, 16, 4, 2)
+        stack = spectral_stack(dims, 2, seed=26)
+        tau = self.tau_for_rank(stack, 1)
+        out, _, _ = self.partial_shrink(stack, tau, warm_basis(stack, 6, seed=27))
+        assert calls == {"full": 0, "partial": 1}
+        assert rel(out, self.full_shrink(stack, tau, (4, 2))) <= 1e-10
+        real = transforms.real_slices(dims[2:])
+        assert real.sum() == 4
+        assert np.array_equal(out[real].imag, np.zeros_like(out[real].imag))
+
+    def test_slice_below_threshold(self, calls):
+        stack = spectral_stack((20, 20, 6), 2, seed=28)
+        tau = self.tau_for_rank(stack, 2)
+        stack[1] *= 0.5 * tau / np.linalg.svd(stack[1], compute_uv=False).max()
+        out, shrunk, rank = self.partial_shrink(stack, tau, warm_basis(stack, 7, seed=29))
+        assert calls == {"full": 0, "partial": 1}
+        assert rank == 2
+        assert np.array_equal(out[1], np.zeros_like(out[1]))
+        assert not shrunk[1].any()
+        assert rel(out, self.full_shrink(stack, tau, (4,))) <= 1e-10
+
+    def test_zero_tensor(self, calls):
+        stack = np.zeros((4, 12, 12), dtype=complex)
+        basis = np.random.default_rng(30).standard_normal((4, 12, 5))
+        out, shrunk, rank = self.partial_shrink(stack, 0.5, basis)
+        assert calls == {"full": 0, "partial": 1}
+        assert rank == 0
+        assert np.array_equal(out, np.zeros_like(stack))
+        assert np.array_equal(out, self.full_shrink(stack, 0.5, (4,)))
+        assert not shrunk.any()
 
 
 class TestProjectConstraint:
@@ -158,6 +277,8 @@ class TestComplete:
         assert len(report.primal_residuals) == report.iterations
         assert len(report.tnn_values) == report.iterations
         assert np.isfinite(report.tnn_values).all()
+        assert len(report.ranks) == report.iterations
+        assert report.ranks[-1] == 2
         assert report.converged
         assert report.primal_residuals[-1] <= 1e-7
 
@@ -180,6 +301,60 @@ class TestComplete:
         assert np.array_equal(x1, x2)
         assert r1.primal_residuals == r2.primal_residuals
         assert r1.tnn_values == r2.tnn_values
+
+    def test_deterministic_reports_on_partial_path(self, monkeypatch):
+        """Two solves that draw basis columns give equal reports whatever
+        the global random state: the draws come from a generator seeded per
+        solve."""
+        truth = synthesis.random_low_tubal_rank((40, 40, 10), 2, seed=0)
+        mask = transforms.SamplingOperator.bernoulli((40, 40, 10), 0.5, seed=1)
+        y = mask.apply(truth)
+        cfg = completion.AdmmConfig(rho=0.01)
+        draws = 0
+        basis = completion._RankAdaptiveShrink._basis
+
+        def counting_basis(self, vh, width):
+            nonlocal draws
+            draws += vh.shape[1] < width
+            return basis(self, vh, width)
+
+        monkeypatch.setattr(completion._RankAdaptiveShrink, "_basis", counting_basis)
+        saved = np.random.get_state()
+        try:
+            np.random.seed(1)
+            x1, r1 = completion.complete(y, mask, cfg)
+            np.random.seed(2)
+            x2, r2 = completion.complete(y, mask, cfg)
+        finally:
+            np.random.set_state(saved)
+        assert draws >= 2
+        assert np.array_equal(x1, x2)
+        assert r1.primal_residuals == r2.primal_residuals
+        assert r1.tnn_values == r2.tnn_values
+        assert r1.ranks == r2.ranks
+
+    def test_partial_path_recovers_low_rank(self, monkeypatch):
+        dims = (60, 60, 20)
+        truth = synthesis.random_low_tubal_rank(dims, 3, seed=31)
+        mask = transforms.SamplingOperator.bernoulli(dims, 0.5, seed=32)
+        full_stack_svds = 0
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            nonlocal full_stack_svds
+            full_stack_svds += np.shape(a)[-2:] == dims[:2]
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        x, report = completion.complete(
+            mask.apply(truth), mask, completion.AdmmConfig(rho=0.01), truth=truth
+        )
+        assert report.converged
+        assert report.final_rse_db <= -100.0
+        assert np.array_equal(x[mask.mask], truth[mask.mask])
+        assert 0 < full_stack_svds < report.iterations
+        assert len(report.ranks) == report.iterations
+        assert report.ranks[-1] == 3
 
     def test_order4_completion(self):
         truth = synthesis.random_low_tubal_rank((10, 10, 4, 3), 2, seed=11)

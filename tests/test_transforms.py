@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tsvdkit import transforms
+from tsvdkit.synthesis import random_low_tubal_rank
 from tsvdkit.errors import DataError, DimensionError, NumericalError
 
 small_tensors = hnp.arrays(
@@ -169,6 +170,20 @@ class TestSvdSlices:
             transforms.svd_slices(stack)
         with pytest.raises(NumericalError):
             transforms.svd_slices(stack, compute_uv=False)
+        with pytest.raises(NumericalError):
+            transforms.partial_svd_slices(stack, np.ones((2, 3, 1)))
+
+    def test_partial_matches_leading_triplets(self):
+        rng = np.random.default_rng(7)
+        low = random_low_tubal_rank((6, 10, 8), 2, seed=7)
+        stack = transforms.to_stack(transforms.fft_mode3(low))
+        basis = rng.standard_normal((stack.shape[0], 10, 4))
+        u, s, vh = transforms.partial_svd_slices(stack, basis)
+        assert u.shape == (5, 6, 4) and s.shape == (5, 4) and vh.shape == (5, 4, 10)
+        assert np.allclose(s, transforms.svd_slices(stack, compute_uv=False)[:, :4], atol=1e-12)
+        assert np.allclose((u * s[:, None, :]) @ vh, stack, atol=1e-12)
+        for j in (0, 4):
+            assert not u[j].imag.any() and not vh[j].imag.any()
 
 
 class TestSamplingOperator:
