@@ -57,7 +57,10 @@ class SolveReport:
     """Per-iteration diagnostics of one completion run.
 
     ``ranks`` holds the iterate rank of each iteration: the largest count,
-    over the spectral slices, of singular values above the threshold.
+    over the spectral slices, of singular values of ``x + q`` (the tensor
+    the shrink step is applied to) above the threshold.  That is the tubal
+    rank of the shrunk iterate, not of the returned tensor, so it can exceed
+    the rank of the data when the dual variable saturates.
     """
 
     iterations: int
@@ -218,9 +221,13 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
     trailing = y.shape[2:]
     weights = transforms.slice_weights(trailing)
 
-    x = y.copy()
+    # Observed entries by flat position: one scattered store per iteration
+    # instead of a mask-selected pass, whose branches a random mask defeats.
+    observed = np.flatnonzero(sampler.mask)
+    y_observed = y.ravel()[observed]
+    x = np.empty(y.shape)
     z = y.copy()
-    q = np.zeros_like(y)
+    q = np.zeros(y.shape)
     residuals: list[float] = []
     tnn_values: list[float] = []
     ranks: list[int] = []
@@ -228,13 +235,18 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
     shrink = _RankAdaptiveShrink(tau, *y.shape[:2])
 
     for it in range(1, cfg.max_iter + 1):
-        x = np.where(sampler.mask, y, z - q)
+        np.subtract(z, q, out=x)
+        x.ravel()[observed] = y_observed
         if cfg.positivity:
-            x = np.maximum(x, 0.0)
-        z_stack, shrunk, rank = shrink(transforms.to_stack(transforms.fft_mode3(x + q)))
+            np.maximum(x, 0.0, out=x)
+        # q holds x + q, the tensor the shrink step is applied to, then the
+        # dual update x + q - z, which is non-finite exactly when z or the
+        # update is.
+        np.add(q, x, out=q)
+        z_stack, shrunk, rank = shrink(transforms.to_stack(transforms.fft_mode3(q)))
         z = transforms.ifft_stack(z_stack, trailing)
-        q = q + x - z
-        if not (np.isfinite(z).all() and np.isfinite(q).all()):
+        np.subtract(q, z, out=q)
+        if not np.isfinite(q).all():
             raise DivergenceError(
                 f"non-finite iterate at iteration {it}", iteration=it
             )
@@ -246,7 +258,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
             converged = True
             break
 
-    x = np.where(sampler.mask, y, x)
+    x.ravel()[observed] = y_observed
     report = SolveReport(
         iterations=len(residuals),
         primal_residuals=residuals,

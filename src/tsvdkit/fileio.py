@@ -15,6 +15,7 @@ per record.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -31,19 +32,28 @@ _TAG_METHODS = {tag: name for name, tag in _METHOD_TAGS.items()}
 _COMPRESSED_HEADER = 6 + 8 * 3 + 24
 
 
-def tensor_to_bytes(a: np.ndarray) -> bytes:
-    a = np.asarray(a, dtype=np.float64)
+def _tensor_parts(a) -> tuple[bytes, np.ndarray]:
+    """The TSR1 header of ``a`` and its payload: the entries as a 1-D ``<f8``
+    array in column-major order, a view of ``a`` when ``a`` is already
+    Fortran-contiguous float64, else one copy."""
+    a = np.asarray(a)
     if a.ndim < 3:
         raise DimensionError(f"tensor files require order >= 3, got order {a.ndim}")
     if min(a.shape) < 1:
         raise DimensionError(f"tensor has a zero extent: {a.shape}")
-    header = TENSOR_MAGIC + struct.pack("<B", a.ndim)
-    header += np.asarray(a.shape, dtype="<u8").tobytes()
-    return header + a.flatten(order="F").astype("<f8").tobytes()
+    header = TENSOR_MAGIC + struct.pack("<B", a.ndim) + np.asarray(a.shape, dtype="<u8").tobytes()
+    return header, np.asfortranarray(a, dtype="<f8").ravel(order="F")
+
+
+def tensor_to_bytes(a: np.ndarray) -> bytes:
+    return b"".join(_tensor_parts(a))
 
 
 def write_tensor(path, a: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_to_bytes(a))
+    header, payload = _tensor_parts(a)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)
 
 
 def tensor_from_bytes(data: bytes) -> np.ndarray:
@@ -55,7 +65,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
     header_end = 5 + 8 * order
     if len(data) < header_end:
         raise FormatError("truncated tensor header")
-    dims = tuple(int(d) for d in np.frombuffer(data[5:header_end], dtype="<u8"))
+    dims = tuple(int(d) for d in np.frombuffer(data, dtype="<u8", count=order, offset=5))
     if min(dims) < 1:
         raise FormatError(f"tensor extents must be >= 1, got {dims}")
     count = math.prod(dims)
@@ -65,8 +75,8 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
             f"payload length mismatch: file has {len(data) - header_end} bytes, "
             f"dims {dims} require {8 * count}"
         )
-    flat = np.frombuffer(data[header_end:], dtype="<f8")
-    values = flat.astype(np.float64).reshape(dims, order="F")
+    payload = np.frombuffer(data, dtype="<f8", offset=header_end).reshape(dims, order="F")
+    values = np.array(payload, dtype=np.float64, order="F")
     if not np.isfinite(values).all():
         raise DataError("tensor file contains non-finite values")
     return values
@@ -84,32 +94,55 @@ def read_mask(path) -> np.ndarray:
     return values.astype(bool)
 
 
+# A line of a coordinate list with data on it: something other than
+# whitespace before any '#'.
+_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.MULTILINE)
+_INDEX_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 def read_coordinate_mask(path, dims) -> np.ndarray:
     """Dense boolean mask from a text file of 1-based index tuples.
 
     Each non-empty line carries one observed entry as whitespace-separated
-    indices, one per mode ('#' starts a comment).
+    indices, one per mode, each an ASCII decimal integer with an optional
+    ``+`` ('#' starts a comment, which may hold any bytes).  A malformed line
+    raises ``FormatError`` naming ``path`` and the first bad line.
     """
     dims = tuple(int(d) for d in dims)
     mask = np.zeros(dims, dtype=bool)
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != len(dims):
-            raise FormatError(
-                f"{path}:{lineno}: expected {len(dims)} indices, got {len(parts)}"
-            )
-        try:
-            idx = tuple(int(p) - 1 for p in parts)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-integer index") from exc
-        if any(not 0 <= i < n for i, n in zip(idx, dims)):
-            raise FormatError(f"{path}:{lineno}: index out of range for dims {dims}")
-        mask[idx] = True
+    # Latin-1 maps every byte to one character: no file fails to decode, and
+    # a non-ASCII byte outside a comment fails as a token.  A file without
+    # data returns before loadtxt, which would warn on it; loadtxt gets the
+    # path, not the text, as it parses a file in chunks but a string by lines.
+    text = Path(path).read_text(encoding="latin-1")
+    if _DATA_LINE.search(text) is None:
+        return mask
+    try:
+        coords = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="latin-1")
+    except ValueError:
+        coords = None
+    if (coords is None or coords.shape[1] != len(dims)
+            or ((coords < 1) | (coords > dims)).any()):
+        raise FormatError(_first_bad_line(path, text, dims))
+    mask[tuple((coords - 1).T)] = True
     return mask
+
+
+def _first_bad_line(path, text: str, dims: tuple[int, ...]) -> str:
+    """The error message for the first line of a coordinate list that breaks
+    its grammar; the line-by-line twin of :func:`read_coordinate_mask`."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != len(dims):
+            return f"{path}:{lineno}: expected {len(dims)} indices, got {len(parts)}"
+        if not all(_INDEX_TOKEN.fullmatch(p) for p in parts):
+            return f"{path}:{lineno}: non-integer index"
+        if any(not 1 <= int(p) <= n for p, n in zip(parts, dims)):
+            return f"{path}:{lineno}: index out of range for dims {dims}"
+    # Only a file that changed between the two reads gets here.
+    return f"{path}: not a coordinate list"
 
 
 def _pgm_tokens(text: str):

@@ -231,6 +231,27 @@ class TestCompleteCommand:
         assert code == 0
         assert record["results"]["rse_db"] == "-inf"
 
+    def test_malformed_mask_coords_names_line(self, tmp_path, capsys):
+        truth = tmp_path / "t.tsr"
+        run(capsys, "gen", "3x3x3", "--rank", "1", "--seed", "2", "--out", str(truth))
+        coords = tmp_path / "coords.txt"
+        coords.write_text("1 1 1\n# comment\n\n1 2\n2 2 2\n")
+        code = main(["complete", str(truth), "--mask-coords", str(coords)])
+        assert code == 2
+        assert "coords.txt:4:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_comment_only_mask_coords(self, tmp_path, capsys):
+        truth = tmp_path / "t.tsr"
+        run(capsys, "gen", "3x3x3", "--rank", "1", "--seed", "2", "--out", str(truth))
+        coords = tmp_path / "coords.txt"
+        coords.write_text("# nothing observed\n\n")
+        code, record = run(
+            capsys, "complete", str(truth), "--mask-coords", str(coords), "--max-iter", "3",
+        )
+        assert code == 0
+        assert record["results"]["iterations"] >= 1
+
     def test_mask_dims_mismatch(self, truth_file, capsys, tmp_path):
         mask_path = tmp_path / "mask.tsr"
         fileio.write_tensor(mask_path, np.ones((4, 4, 4)))

@@ -5,6 +5,7 @@ from tsvdkit import algebra, completion, decomposition, synthesis, transforms
 from tsvdkit.errors import (
     DataError,
     DimensionError,
+    DivergenceError,
     NumericalError,
     UndefinedMetricError,
 )
@@ -385,6 +386,27 @@ class TestComplete:
         y[1, 2, :] = 1e308
         with pytest.raises(NumericalError):
             completion.complete(y, np.ones(y.shape, dtype=bool))
+
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("at", [1, 4])
+    def test_nonfinite_iterate_raises_divergence(self, monkeypatch, bad, at):
+        truth = synthesis.random_low_tubal_rank((12, 12, 4), 2, seed=3)
+        mask = transforms.SamplingOperator.bernoulli(truth.shape, 0.5, seed=4)
+        inverse = transforms.ifft_stack
+        calls = []
+
+        def poisoned(stack, trailing):
+            z = inverse(stack, trailing)
+            calls.append(None)
+            if len(calls) == at:
+                z[3, 5, 1] = bad
+            return z
+
+        monkeypatch.setattr(transforms, "ifft_stack", poisoned)
+        with pytest.raises(DivergenceError) as info:
+            completion.complete(mask.apply(truth), mask, completion.AdmmConfig(max_iter=50))
+        assert info.value.iteration == at
 
 
 class TestConfigValidation:

@@ -1,8 +1,14 @@
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coordinate_mask_reference import read_coordinate_mask_reference
 from tsvdkit import compression, fileio
 from tsvdkit.errors import DataError, DimensionError, FormatError
 
@@ -36,6 +42,31 @@ class TestTensorFile:
         data = fileio.tensor_to_bytes(tensor)
         flat = np.frombuffer(data[29:], dtype="<f8")
         assert flat.tolist() == tensor.flatten(order="F").tolist()
+
+    @pytest.mark.parametrize("order,copies", [("F", 0), ("C", 1)])
+    def test_write_and_read_copy_the_payload_at_most_once(self, tmp_path, order, copies):
+        tensor = np.asarray(np.random.default_rng(5).standard_normal((64, 64, 32)), order=order)
+        path = tmp_path / "t.tsr"
+        tracemalloc.start()
+        try:
+            fileio.write_tensor(path, tensor)
+            written = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = fileio.read_tensor(path)
+            read = tracemalloc.get_traced_memory()[1] - written
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, tensor) and back.flags.f_contiguous and back.flags.writeable
+        assert written < (copies + 0.25) * tensor.nbytes
+        # The file's bytes, the owned copy, and the finiteness scan's booleans.
+        assert read < 2.25 * tensor.nbytes
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 2, 4, 2)])
+    def test_layout_does_not_change_the_bytes(self, shape):
+        tensor = np.random.default_rng(6).standard_normal(shape)
+        data = fileio.tensor_to_bytes(tensor)
+        for variant in (np.asfortranarray(tensor), tensor.astype(">f8"), tensor[::-1][::-1]):
+            assert fileio.tensor_to_bytes(variant) == data
 
     def test_bad_magic(self):
         with pytest.raises(FormatError):
@@ -77,6 +108,59 @@ class TestMaskFiles:
             fileio.read_mask(path)
 
 
+# Tokens outside the coordinate grammar; each is ASCII and also rejected by
+# Python's int(), so both parsers call it a non-integer index.
+_NON_INTEGERS = ["x", "1.0", "1e3", "0x1", "+-1", "--1", "+", "1,2", "3a"]
+
+
+@st.composite
+def coordinate_files(draw):
+    """A coordinate list in the documented grammar: orders 3-4, '#' comments
+    (full-line and trailing), blank and whitespace-only lines, LF or CRLF,
+    spaces and tabs, leading '+' and zeros, duplicate entries; some files
+    carry one malformed line somewhere after the first."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
+    entries = st.tuples(*(st.integers(1, n) for n in dims))
+    pool = draw(st.lists(entries, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=20))
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t"])
+
+    def token(value):
+        return draw(st.sampled_from(["", "+"])) + draw(st.sampled_from(["", "0", "00"])) + str(value)
+
+    def data_line(values):
+        line = draw(pad) + token(values[0])
+        for v in values[1:]:
+            line += draw(sep) + token(v)
+        return line + draw(pad) + draw(st.sampled_from(["", " # seen", "#x 1 2"]))
+
+    lines = []
+    for values in rows:
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t", "# c", "  # 1 2 3"]), max_size=2)))
+        lines.append(data_line(values))
+    kinds = ["arity", "token", "zero", "negative", "range", "overflow"]
+    kind = draw(st.sampled_from([None] * len(kinds) + kinds))
+    if kind is not None:
+        values = list(draw(st.sampled_from(pool)))
+        col = draw(st.integers(0, len(dims) - 1))
+        if kind == "arity":
+            bad = data_line(values + [1] if draw(st.booleans()) else values[:-1])
+        else:
+            tokens = [str(v) for v in values]
+            tokens[col] = {
+                "token": draw(st.sampled_from(_NON_INTEGERS)),
+                "zero": "0",
+                "negative": f"-{draw(st.integers(0, 9))}",
+                "range": str(dims[col] + draw(st.integers(1, 3))),
+                "overflow": str(2**63 + draw(st.integers(0, 10**6))),
+            }[kind]
+            bad = draw(sep).join(tokens)
+        lines.insert(draw(st.integers(min(1, len(lines)), len(lines))), bad)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return dims, eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
 class TestCoordinateMask:
     def test_basic_triples(self, tmp_path):
         path = tmp_path / "coords.txt"
@@ -102,6 +186,57 @@ class TestCoordinateMask:
         path.write_text("3 1 1\n")
         with pytest.raises(FormatError):
             fileio.read_coordinate_mask(path, (2, 2, 2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", " \t\n# a\r\n  # b"])
+    def test_no_data_gives_empty_mask(self, tmp_path, text):
+        path = tmp_path / "coords.txt"
+        path.write_text(text)
+        mask = fileio.read_coordinate_mask(path, (2, 3, 4))
+        assert mask.shape == (2, 3, 4) and mask.dtype == bool and not mask.any()
+
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [("1 1", "expected 3 indices, got 2"), ("1 x 1", "non-integer index"),
+         ("1 2 0", "index out of range"), ("1 -1 1", "index out of range"),
+         ("1 2 9", "index out of range"), ("1 2 99999999999999999999", "index out of range"),
+         ("1_0 1 1", "non-integer index"), ("\uff11 1 1", "non-integer index"),
+         ("1.0 1 1", "non-integer index")],
+    )
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_error_names_first_bad_line(self, tmp_path, bad, reason, eol):
+        path = tmp_path / "coords.txt"
+        lines = ["1 1 1", "# comment", "", bad, "2 2 2", "1 1", ""]
+        path.write_bytes(eol.join(lines).encode("utf-8"))
+        with pytest.raises(FormatError, match=reason) as info:
+            fileio.read_coordinate_mask(path, (2, 3, 4))
+        prefix = f"{path}:4: "
+        assert str(info.value).startswith(prefix)
+        detail = str(info.value)[len(prefix):]
+        assert "row" not in detail and "usecols" not in detail
+
+    def test_any_bytes_in_comments(self, tmp_path):
+        path = tmp_path / "coords.txt"
+        path.write_bytes(b"1 2 3 # caf\xc3\xa9\n# \xff\xfe\n2 1 1\n")
+        mask = fileio.read_coordinate_mask(path, (2, 3, 4))
+        assert mask.sum() == 2 and mask[0, 1, 2] and mask[1, 0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(coordinate_files())
+    def test_matches_line_by_line_reference(self, drawn):
+        dims, text = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "coords.txt"
+            path.write_bytes(text.encode("ascii"))
+            try:
+                expected = read_coordinate_mask_reference(path, dims)
+            except FormatError as exc:
+                with pytest.raises(FormatError) as info:
+                    fileio.read_coordinate_mask(path, dims)
+                assert str(info.value) == str(exc)
+                return
+            got = fileio.read_coordinate_mask(path, dims)
+        assert got.dtype == bool and np.array_equal(got, expected)
 
 
 def write_pgm(path, rows, maxval=255, comment=True):
