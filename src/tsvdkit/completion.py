@@ -92,13 +92,15 @@ def svt(w, tau: float) -> np.ndarray:
     return out if np.iscomplexobj(w) else out.real
 
 
-def _threshold(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float):
+def _threshold(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float, out: np.ndarray | None = None):
     """The shrunk stack from slice factors whose leading singular values are
-    ``s``, the thresholded singular values (one row per slice), and the rank:
-    the largest per-slice count of ``sigma > tau``."""
+    ``s`` (written into ``out`` when given), the thresholded singular values
+    (one row per slice), and the rank: the largest per-slice count of
+    ``sigma > tau``."""
     shrunk = np.maximum(s - tau, 0.0)
     rank = int(np.count_nonzero(shrunk, axis=1).max())
-    return (u[:, :, :rank] * shrunk[:, None, :rank]) @ vh[:, :rank, :], shrunk, rank
+    stack = np.matmul(u[:, :, :rank] * shrunk[:, None, :rank], vh[:, :rank, :], out=out)
+    return stack, shrunk, rank
 
 
 def _shrink(w_stack: np.ndarray, tau: float):
@@ -133,12 +135,13 @@ class _RankAdaptiveShrink:
         self.basis: np.ndarray | None = None
         self.rng = np.random.default_rng(0)
 
-    def __call__(self, w_stack: np.ndarray):
-        """What :func:`_shrink` returns for ``w_stack``."""
+    def __call__(self, w_stack: np.ndarray, out: np.ndarray | None = None):
+        """What :func:`_shrink` returns for ``w_stack``, the shrunk stack
+        written into ``out`` when given (which may be ``w_stack``)."""
         factors = None if self.basis is None else self._partial(w_stack)
         if factors is None:
             factors = transforms.svd_slices(w_stack, full_matrices=False)
-        out, shrunk, rank = _threshold(*factors, self.tau)
+        out, shrunk, rank = _threshold(*factors, self.tau, out=out)
         width = rank + _OVERSAMPLE
         self.basis = self._basis(factors[2], width) if width <= self.max_width else None
         return out, shrunk, rank
@@ -225,9 +228,13 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
     # instead of a mask-selected pass, whose branches a random mask defeats.
     observed = np.flatnonzero(sampler.mask)
     y_observed = y.ravel()[observed]
+    # Tensor-sized buffers held for the whole solve: the iterates, and the
+    # half spectrum of x + q, which the shrunk stack overwrites and which
+    # then holds x - z for the residual.
     x = np.empty(y.shape)
     z = y.copy()
     q = np.zeros(y.shape)
+    spectrum = None
     residuals: list[float] = []
     tnn_values: list[float] = []
     ranks: list[int] = []
@@ -243,14 +250,16 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         # dual update x + q - z, which is non-finite exactly when z or the
         # update is.
         np.add(q, x, out=q)
-        z_stack, shrunk, rank = shrink(transforms.to_stack(transforms.fft_mode3(q)))
-        z = transforms.ifft_stack(z_stack, trailing)
+        spectrum = transforms.fft_mode3(q, out=spectrum)
+        stack = transforms.to_stack(spectrum)
+        _, shrunk, rank = shrink(stack, out=stack)
+        transforms.ifft_stack(stack, trailing, out=z)
         np.subtract(q, z, out=q)
         if not np.isfinite(q).all():
             raise DivergenceError(
                 f"non-finite iterate at iteration {it}", iteration=it
             )
-        residual = frobenius(x - z) / max(1.0, frobenius(x))
+        residual = frobenius(np.subtract(x, z, out=_scratch(stack, y.shape))) / max(1.0, frobenius(x))
         residuals.append(residual)
         tnn_values.append(float(shrunk.sum(axis=1) @ weights))
         ranks.append(rank)
@@ -268,6 +277,13 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         ranks=ranks,
     )
     return x, report
+
+
+def _scratch(stack: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 tensor of ``shape`` over the memory of a contiguous complex
+    stack that is no longer needed.  A half spectrum holds at least as many
+    float64 values as the tensor it came from, so it always fits."""
+    return stack.reshape(-1).view(np.float64)[: math.prod(shape)].reshape(shape)
 
 
 def rse_db(x_rec, x_ref) -> float:

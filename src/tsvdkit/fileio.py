@@ -15,6 +15,7 @@ per record.
 from __future__ import annotations
 
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -56,34 +57,57 @@ def write_tensor(path, a: np.ndarray) -> None:
         f.write(payload)
 
 
-def tensor_from_bytes(data: bytes) -> np.ndarray:
-    if len(data) < 5 or data[:4] != TENSOR_MAGIC:
+def _tensor_layout(head: bytes, size: int) -> tuple[tuple[int, ...], int]:
+    """Extents and payload offset of a TSR1 blob of ``size`` bytes whose
+    leading bytes are ``head`` (the whole header, if the blob holds one).
+    Checks that the size is exactly what the extents require."""
+    if len(head) < 5 or head[:4] != TENSOR_MAGIC:
         raise FormatError("not a TSR1 tensor file (bad magic)")
-    order = data[4]
+    order = head[4]
     if order < 3:
         raise FormatError(f"tensor order must be >= 3, got {order}")
     header_end = 5 + 8 * order
-    if len(data) < header_end:
+    if len(head) < header_end:
         raise FormatError("truncated tensor header")
-    dims = tuple(int(d) for d in np.frombuffer(data, dtype="<u8", count=order, offset=5))
+    dims = tuple(int(d) for d in np.frombuffer(head, dtype="<u8", count=order, offset=5))
     if min(dims) < 1:
         raise FormatError(f"tensor extents must be >= 1, got {dims}")
     count = math.prod(dims)
-    expected = header_end + 8 * count
-    if len(data) != expected:
+    if size != header_end + 8 * count:
         raise FormatError(
-            f"payload length mismatch: file has {len(data) - header_end} bytes, "
+            f"payload length mismatch: file has {size - header_end} bytes, "
             f"dims {dims} require {8 * count}"
         )
-    payload = np.frombuffer(data, dtype="<f8", offset=header_end).reshape(dims, order="F")
-    values = np.array(payload, dtype=np.float64, order="F")
+    return dims, header_end
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise DataError("tensor file contains non-finite values")
     return values
 
 
+def tensor_from_bytes(data: bytes) -> np.ndarray:
+    dims, offset = _tensor_layout(data, len(data))
+    payload = np.frombuffer(data, dtype="<f8", offset=offset).reshape(dims, order="F")
+    return _finite(np.array(payload, dtype=np.float64, order="F"))
+
+
+# The longest TSR1 header: order 255.
+_TENSOR_HEADER_MAX = 5 + 8 * 255
+
+
 def read_tensor(path) -> np.ndarray:
-    return tensor_from_bytes(Path(path).read_bytes())
+    """Read a TSR1 file into an owned Fortran-ordered float64 array: the
+    header is checked against the file size before the payload is read
+    straight into the array."""
+    with open(path, "rb") as f:
+        dims, offset = _tensor_layout(f.read(_TENSOR_HEADER_MAX), os.fstat(f.fileno()).st_size)
+        values = np.empty(dims, dtype="<f8", order="F")
+        f.seek(offset)
+        if f.readinto(values.reshape(-1, order="F")) != values.nbytes:
+            raise FormatError(f"{path}: tensor file is shorter than its header declares")
+    return _finite(values.astype(np.float64, copy=False))
 
 
 def read_mask(path) -> np.ndarray:
@@ -145,40 +169,62 @@ def _first_bad_line(path, text: str, dims: tuple[int, ...]) -> str:
     return f"{path}: not a coordinate list"
 
 
-def _pgm_tokens(text: str):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        yield from body.split()
+# PGM whitespace: the ASCII characters str.split() splits on.  A comment runs
+# from '#' to the end of its line, which any ASCII line boundary of
+# str.splitlines() ends.
+_PGM_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
+_PGM_COMMENT = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e]*")
+_PGM_TOKEN = re.compile(f"[^{_PGM_SPACE}]+")
+_PGM_TO_BLANK = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+# Byte classes of the pixel block: 0 whitespace, 1 digit, 2 sign, 3 other.
+_PGM_CLASS = np.full(256, 3, dtype=np.uint8)
+_PGM_CLASS[list(_PGM_SPACE.encode())] = 0
+_PGM_CLASS[list(b"0123456789")] = 1
+_PGM_CLASS[list(b"+-")] = 2
 
 
 def read_pgm(path) -> np.ndarray:
     """Parse one plain (P2) PGM frame into floats in [0, 1].
 
-    Whitespace-tolerant; comment lines and trailing '#' comments are skipped;
-    maxval up to 65535.
+    Tokens are separated by ASCII whitespace; '#' starts a comment that
+    runs to the end of its line.  The header is ``P2``, width, height and
+    maxval (1 to 65535); each pixel is an ASCII decimal integer with an
+    optional sign, in ``[0, maxval]``.
     """
-    tokens = list(_pgm_tokens(Path(path).read_text(errors="replace")))
-    if not tokens or tokens[0] != "P2":
+    body = _PGM_COMMENT.sub("", Path(path).read_text(errors="replace"))
+    header = []
+    for match in _PGM_TOKEN.finditer(body):
+        header.append(match.group())
+        if len(header) == 4:
+            break
+    if not header or header[0] != "P2":
         raise FormatError(f"{path}: not a plain PGM (P2) file")
-    if len(tokens) < 4:
+    if len(header) < 4:
         raise FormatError(f"{path}: truncated PGM header")
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        width, height, maxval = int(header[1]), int(header[2]), int(header[3])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed PGM header") from exc
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad PGM dimensions {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise FormatError(f"{path}: PGM maxval {maxval} outside [1, 65535]")
-    pixels = tokens[4:]
-    if len(pixels) != width * height:
-        raise FormatError(
-            f"{path}: expected {width * height} pixels, found {len(pixels)}"
-        )
-    try:
-        values = np.array([int(p) for p in pixels], dtype=np.float64)
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-integer pixel value") from exc
+    # Non-ASCII characters become '?', which no token may hold.
+    block = body[match.end():].encode("ascii", errors="replace")
+    kind = _PGM_CLASS[np.frombuffer(block, dtype=np.uint8)]
+    starts = kind != 0
+    starts[1:] &= kind[:-1] == 0
+    found = int(np.count_nonzero(starts))
+    if found != width * height:
+        raise FormatError(f"{path}: expected {width * height} pixels, found {found}")
+    # A sign must open a token and precede a digit, so that every token is
+    # one integer for numpy's parser.
+    sign = kind == 2
+    sign_ok = starts[sign] & (np.append(kind[1:], 0)[sign] == 1)
+    if (kind == 3).any() or not sign_ok.all():
+        raise FormatError(f"{path}: non-integer pixel value")
+    # strtoll saturates beyond int64, which the range check then rejects.
+    values = np.fromstring(block.translate(_PGM_TO_BLANK), dtype=np.int64, sep=" ")
     if values.min() < 0 or values.max() > maxval:
         raise FormatError(f"{path}: pixel value outside [0, {maxval}]")
     return values.reshape(height, width) / maxval

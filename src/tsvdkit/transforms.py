@@ -26,6 +26,9 @@ the slice weights and ``rho`` the product of the trailing extents.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError
@@ -36,17 +39,32 @@ def _half_dims(trailing_dims) -> tuple[int, ...]:
     return trailing[:-1] + (trailing[-1] // 2 + 1,)
 
 
-def _plane_partners(trailing_dims) -> tuple[np.ndarray, np.ndarray]:
-    """Per stored slice: whether it lies in a ``k_N in {0, n_N/2}`` plane, and
-    the stored index of its conjugate (its own index outside the planes)."""
-    trailing = tuple(int(n) for n in trailing_dims)
+class _Layout(NamedTuple):
+    in_plane: np.ndarray  # per stored slice: in a k_N in {0, n_N/2} plane
+    real: np.ndarray  # indices of the real slices
+    upper: np.ndarray  # indices of the higher member of each pair in the planes
+    lower: np.ndarray  # and of the lower member, which it mirrors
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_layout(trailing: tuple[int, ...]) -> _Layout:
     half = _half_dims(trailing)
     k = np.indices(half).reshape(len(half), -1, order="F")
     in_plane = (2 * k[-1]) % trailing[-1] == 0
     mirrored = [(-kk) % n for kk, n in zip(k[:-1], trailing[:-1])] + [k[-1]]
     own = np.arange(k.shape[1])
     partner = np.where(in_plane, np.ravel_multi_index(mirrored, half, order="F"), own)
-    return in_plane, partner
+    upper = np.flatnonzero(partner < own)
+    layout = _Layout(in_plane, np.flatnonzero(in_plane & (partner == own)), upper, partner[upper])
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def _layout(trailing_dims) -> _Layout:
+    """The stored slices of a half spectrum with these trailing extents,
+    computed once per trailing shape (read-only arrays)."""
+    return _cached_layout(tuple(int(n) for n in trailing_dims))
 
 
 def slice_weights(trailing_dims) -> np.ndarray:
@@ -54,15 +72,16 @@ def slice_weights(trailing_dims) -> np.ndarray:
     the ``k_N in {0, n_N/2}`` planes, 2 elsewhere.  A sum over the full
     spectrum of a quantity shared by conjugate slices (singular values,
     squared norms) is the weighted sum over the stored slices."""
-    in_plane, _ = _plane_partners(trailing_dims)
-    return np.where(in_plane, 1.0, 2.0)
+    return np.where(_layout(trailing_dims).in_plane, 1.0, 2.0)
 
 
 def real_slices(trailing_dims) -> np.ndarray:
     """Which stored slices are their own conjugate, hence real: those whose
     every trailing index is 0 or ``n/2``."""
-    in_plane, partner = _plane_partners(trailing_dims)
-    return in_plane & (partner == np.arange(partner.size))
+    layout = _layout(trailing_dims)
+    real = np.zeros(layout.in_plane.size, dtype=bool)
+    real[layout.real] = True
+    return real
 
 
 def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
@@ -81,41 +100,51 @@ def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
     return np.asarray(values)[..., np.ravel_multi_index(source, half, order="F")]
 
 
-def fft_mode3(a: np.ndarray) -> np.ndarray:
+def fft_mode3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward DFT along every trailing mode (third onward), half spectrum.
 
     Parameters
     ----------
     a : ndarray
         Real tensor of order >= 3, shape ``(n1, n2, n3, ..., nN)``.
+    out : ndarray, optional
+        Where to write the result: an earlier result of this function for a
+        tensor of the same shape, or any complex128 array of the result's
+        shape.
 
     Returns
     -------
     ndarray
         Complex tensor of shape ``(n1, n2, n3, ..., nN // 2 + 1)``; its real
-        slices (:func:`real_slices`) have an exactly zero imaginary part.
+        slices (:func:`real_slices`) have an exactly zero imaginary part.  A
+        new result is a view of a contiguous ``(slices, n1, n2)`` stack, so
+        :func:`to_stack` of it is that stack, without a copy.
     """
     arr = np.asarray(a)
     if arr.ndim < 3:
         raise DimensionError(f"expected order >= 3, got order {arr.ndim}")
     if np.iscomplexobj(arr):
         raise DataError("the trailing-mode transform takes a real tensor")
-    out = np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)))
+    layout = _layout(arr.shape[2:])
+    if out is None:
+        stack = np.empty((layout.in_plane.size,) + arr.shape[:2], dtype=np.complex128)
+        out = from_stack(stack, _half_dims(arr.shape[2:]))
+    np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)), out=out)
     # The complex passes over modes 3..N-1 can leave rounding in the
     # imaginary part of a real slice; clearing it lets svd_slices factor the
     # slice as a real matrix.
-    real = real_slices(arr.shape[2:]).reshape(out.shape[2:], order="F")
-    out.imag[:, :, real] = 0.0
+    to_stack(out).imag[layout.real] = 0.0
     return out
 
 
-def ifft_mode3(a_hat: np.ndarray, trailing_dims) -> np.ndarray:
+def ifft_mode3(a_hat: np.ndarray, trailing_dims, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse DFT along every trailing mode, from a half spectrum to a real
-    tensor with the given trailing extents.
+    tensor with the given trailing extents, written into ``out`` (a float64
+    array of that shape) when it is given.
 
     The higher-numbered member of each conjugate pair inside the
     ``k_N in {0, n_N/2}`` planes is replaced by the conjugate of the lower
-    one first (order >= 4 only; order 3 has no such pairs).
+    one first, in a copy (order >= 4 only; order 3 has no such pairs).
     """
     arr = np.asarray(a_hat)
     if arr.ndim < 3:
@@ -127,13 +156,12 @@ def ifft_mode3(a_hat: np.ndarray, trailing_dims) -> np.ndarray:
             f"half spectrum with trailing shape {arr.shape[2:]} does not match "
             f"trailing extents {trailing} (expected {half})"
         )
-    _, partner = _plane_partners(trailing)
-    upper = partner < np.arange(partner.size)
-    if upper.any():
+    layout = _layout(trailing)
+    if layout.upper.size:
         merged = merge_trailing(arr).copy()
-        merged[:, :, upper] = merged[:, :, partner[upper]].conj()
+        merged[:, :, layout.upper] = merged[:, :, layout.lower].conj()
         arr = unmerge_trailing(merged, half)
-    return np.fft.irfftn(arr, s=trailing, axes=tuple(range(2, arr.ndim)))
+    return np.fft.irfftn(arr, s=trailing, axes=tuple(range(2, arr.ndim)), out=out)
 
 
 def merge_trailing(a: np.ndarray) -> np.ndarray:
@@ -163,15 +191,24 @@ def from_stack(stack: np.ndarray, stored_dims: tuple[int, ...]) -> np.ndarray:
     return unmerge_trailing(np.moveaxis(stack, 0, 2), stored_dims)
 
 
-def ifft_stack(stack: np.ndarray, trailing_dims) -> np.ndarray:
+def ifft_stack(stack: np.ndarray, trailing_dims, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`ifft_mode3` of the half spectrum held as a slice stack."""
-    return ifft_mode3(from_stack(stack, _half_dims(trailing_dims)), trailing_dims)
+    return ifft_mode3(from_stack(stack, _half_dims(trailing_dims)), trailing_dims, out=out)
 
 
-def _join(real: np.ndarray, from_real: np.ndarray, from_complex: np.ndarray) -> np.ndarray:
-    out = np.empty(real.shape + from_complex.shape[1:], dtype=from_complex.dtype)
+def _select(mask: np.ndarray):
+    """The slices a per-slice mask picks: a ``slice`` when they are
+    consecutive, so that indexing a stack with it gives a view, not a copy."""
+    idx = np.flatnonzero(mask)
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
+def _join(real, complex_, from_real: np.ndarray, from_complex: np.ndarray) -> np.ndarray:
+    out = np.empty((len(from_real) + len(from_complex),) + from_complex.shape[1:], dtype=from_complex.dtype)
     out[real] = from_real
-    out[~real] = from_complex
+    out[complex_] = from_complex
     return out
 
 
@@ -181,20 +218,25 @@ def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
 
     ``per_slice`` operands are split along with the slices; a real slice gets
     their real part.  A slice whose imaginary part is exactly zero is factored
-    as a real matrix, so its factors are real.
+    as a real matrix, so its factors are real.  A run of consecutive slices
+    is factored in place; only scattered ones are copied out.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if not np.isfinite(stack).all():
         raise NumericalError("spectral slices are not finite; the transform overflowed")
-    real = ~stack.imag.any(axis=(1, 2))
+    # A nonzero imaginary part in its first row settles that a slice is
+    # complex; only the other slices are scanned whole.
+    is_real = ~stack.imag[:, :1, :].any(axis=(1, 2))
+    is_real[is_real] = ~stack.imag[is_real].any(axis=(1, 2))
+    real, complex_ = _select(is_real), _select(~is_real)
     try:
         from_real = factor(stack[real].real, *(op[real].real for op in per_slice))
-        from_complex = factor(stack[~real], *(op[~real] for op in per_slice))
+        from_complex = factor(stack[complex_], *(op[complex_] for op in per_slice))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
     if isinstance(from_complex, np.ndarray):
-        return _join(real, from_real, from_complex)
-    return tuple(_join(real, r, c) for r, c in zip(from_real, from_complex))
+        return _join(real, complex_, from_real, from_complex)
+    return tuple(_join(real, complex_, r, c) for r, c in zip(from_real, from_complex))
 
 
 def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):

@@ -396,8 +396,8 @@ class TestComplete:
         inverse = transforms.ifft_stack
         calls = []
 
-        def poisoned(stack, trailing):
-            z = inverse(stack, trailing)
+        def poisoned(stack, trailing, out=None):
+            z = inverse(stack, trailing, out=out)
             calls.append(None)
             if len(calls) == at:
                 z[3, 5, 1] = bad

@@ -1,3 +1,5 @@
+import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordinate_mask_reference import read_coordinate_mask_reference
+from pgm_reference import read_pgm_reference
 from tsvdkit import compression, fileio
 from tsvdkit.errors import DataError, DimensionError, FormatError
 
@@ -60,6 +63,50 @@ class TestTensorFile:
         assert written < (copies + 0.25) * tensor.nbytes
         # The file's bytes, the owned copy, and the finiteness scan's booleans.
         assert read < 2.25 * tensor.nbytes
+
+    def test_read_holds_one_payload(self, tmp_path):
+        tensor = np.random.default_rng(7).standard_normal((64, 64, 32))
+        path = tmp_path / "t.tsr"
+        fileio.write_tensor(path, tensor)
+        tracemalloc.start()
+        try:
+            back = fileio.read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, tensor) and back.flags.f_contiguous and back.flags.writeable
+        # The owned array and the finiteness scan's booleans.
+        assert peak <= 1.2 * tensor.nbytes
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda d: b"NOPE" + d[4:], lambda d: d[:4], lambda d: d[:20], lambda d: d[:-8],
+         lambda d: d + bytes(8), lambda d: d[:4] + bytes([2]) + d[5:],
+         lambda d: d[:4] + bytes([9]) + d[5:],
+         lambda d: b"TSR1" + bytes([3]) + np.array([2**62, 4, 4], dtype="<u8").tobytes(),
+         lambda d: d[:5] + np.array([2, 0, 3], dtype="<u8").tobytes() + d[29:],
+         lambda d: d[:-8] + np.array([np.nan]).tobytes()],
+        ids=["bad-magic", "no-order", "truncated-header", "truncated-payload", "trailing-bytes",
+             "low-order", "order-past-header", "wrapping-extents", "zero-extent", "nan"],
+    )
+    def test_file_fails_as_blob_does(self, tmp_path, corrupt):
+        data = corrupt(fileio.tensor_to_bytes(np.ones((2, 2, 3))))
+        path = tmp_path / "bad.tsr"
+        path.write_bytes(data)
+        with pytest.raises((FormatError, DataError)) as from_blob:
+            fileio.tensor_from_bytes(data)
+        with pytest.raises(type(from_blob.value), match=f"^{re.escape(str(from_blob.value))}$"):
+            fileio.read_tensor(path)
+
+    def test_file_shorter_than_its_size_at_open(self, tmp_path, monkeypatch):
+        data = fileio.tensor_to_bytes(np.ones((2, 2, 3)))
+        path = tmp_path / "t.tsr"
+        path.write_bytes(data[:-8])
+        stat = fileio.os.fstat
+        monkeypatch.setattr(fileio.os, "fstat", lambda fd: os.stat_result(
+            (*stat(fd)[:6], len(data), *stat(fd)[7:])))
+        with pytest.raises(FormatError, match="shorter than its header declares"):
+            fileio.read_tensor(path)
 
     @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 2, 4, 2)])
     def test_layout_does_not_change_the_bytes(self, shape):
@@ -239,6 +286,42 @@ class TestCoordinateMask:
         assert got.dtype == bool and np.array_equal(got, expected)
 
 
+# ASCII whitespace and line ends, and comments that may hold any bytes
+# other than a line end.
+PGM_SPACES = [" ", "  ", "\t", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1f", " \n\t"]
+PGM_COMMENTS = ["#", "# synthetic frame", "#a#b", "# caf\u00e9", "#\t 12 x"]
+MALFORMED_PIXELS = ["x", "1.5", "12a", "-", "+", "1-2", "+-1", "0x1", "--3", "+\t"]
+
+
+@st.composite
+def pgm_files(draw):
+    """Plain PGM frames: comments anywhere, mixed whitespace, maxval 1 to
+    65535, and sometimes a malformed, out-of-range, missing or extra pixel
+    or header token."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([1, 2, 255, 256, 65535]) | st.integers(1, 65535))
+    pixels = [str(v) for v in draw(st.lists(st.integers(0, maxval), min_size=width * height,
+                                            max_size=width * height))]
+    for i in draw(st.lists(st.integers(0, len(pixels) - 1), max_size=2)):
+        pixels[i] = draw(st.sampled_from(
+            ["+" + pixels[i], "00" + pixels[i], str(maxval + 1), "-1", "99999999999999999999"]
+            + MALFORMED_PIXELS))
+    if draw(st.integers(0, 9)) == 0:
+        pixels = pixels[:-1] if draw(st.booleans()) else pixels + ["0"]
+    header = ["P2", str(width), str(height), str(maxval)]
+    if draw(st.integers(0, 19)) == 0:
+        header[draw(st.integers(0, 3))] = draw(st.sampled_from(["P5", "x", "0", "70000", ""]))
+    out = draw(st.sampled_from(["", " ", "\n"]))
+    for token in header + pixels:
+        out += token + draw(st.sampled_from(PGM_SPACES))
+        if draw(st.integers(0, 5)) == 0:
+            out += draw(st.sampled_from(PGM_COMMENTS)) + draw(st.sampled_from(["\n", "\r", "\r\n", "\f"]))
+    data = out.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        data += b"# \xff\xfe\n"
+    return data
+
+
 def write_pgm(path, rows, maxval=255, comment=True):
     lines = ["P2"]
     if comment:
@@ -303,6 +386,42 @@ class TestPgm:
         (tmp_path / "deep.pgm").write_text("P2\n1 1\n70000\n1\n")
         with pytest.raises(FormatError):
             fileio.read_pgm(tmp_path / "deep.pgm")
+
+
+    def test_sixteen_bit_frame(self, tmp_path):
+        rows = np.random.default_rng(12).integers(0, 65536, size=(48, 64))
+        write_pgm(tmp_path / "big.pgm", rows.tolist(), maxval=65535)
+        assert np.array_equal(fileio.read_pgm(tmp_path / "big.pgm"), rows / 65535)
+
+    @pytest.mark.parametrize(
+        "pixels,reason",
+        [("1 x", "non-integer pixel value"), ("1 1.5", "non-integer pixel value"),
+         ("1 2-3", "non-integer pixel value"), ("+ 1", "non-integer pixel value"),
+         ("1 1_0", "non-integer pixel value"), ("1 \uff11", "non-integer pixel value"),
+         ("1 -1", "pixel value outside"), ("1 99999999999999999999", "pixel value outside"),
+         ("1 2 3", "expected 2 pixels, found 3"), ("1\xa02", "expected 2 pixels, found 1")],
+    )
+    def test_malformed_pixels(self, tmp_path, pixels, reason):
+        path = tmp_path / "bad.pgm"
+        path.write_text(f"P2\n2 1\n255\n{pixels}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=reason):
+            fileio.read_pgm(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pgm_files())
+    def test_matches_token_by_token_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "frame.pgm"
+            path.write_bytes(text)
+            try:
+                expected = read_pgm_reference(path)
+            except FormatError as exc:
+                with pytest.raises(FormatError) as info:
+                    fileio.read_pgm(path)
+                assert str(info.value) == str(exc)
+                return
+            got = fileio.read_pgm(path)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 # Offsets of the uint64 k and record-count fields of an order-3 TSC1 header.

@@ -163,6 +163,15 @@ class TestSvdSlices:
         for j in (0, 3):
             assert not u[j].imag.any() and not vh[j].imag.any()
 
+    def test_slice_real_in_its_first_row_only(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack[1, 0].imag = 0.0
+        stack[2].imag = 0.0
+        u, s, vh = transforms.svd_slices(stack)
+        assert u[1].imag.any() and not u[2].imag.any()
+        assert np.allclose((u * s[:, None, :]) @ vh, stack, atol=1e-12)
+
     def test_nonfinite_slices_rejected(self):
         stack = np.zeros((2, 3, 3), dtype=complex)
         stack[1, 0, 0] = np.inf
