@@ -6,7 +6,9 @@ The split-variable recursion alternates an exact constraint projection (done
 entrywise in the original domain), a singular-value shrinkage on every
 spectral frontal slice (the proximal map of the penalty, threshold
 ``1/rho``), and a unit-step dual update.  Once the iterate has low rank, the
-shrinkage computes only the leading singular triplets of each slice.
+shrinkage computes only the leading singular triplets of each slice.  It
+factors a few slices at a time, so the factors of the whole spectral stack
+are never held at once.
 """
 
 from __future__ import annotations
@@ -88,29 +90,62 @@ def svt(w, tau: float) -> np.ndarray:
     w = np.asarray(w)
     if w.ndim != 2:
         raise DimensionError(f"svt expects a matrix, got order {w.ndim}")
-    out = _shrink(w[None], tau)[0][0]
-    return out if np.iscomplexobj(w) else out.real
+    stack = np.array(w[None], dtype=np.complex128, order="C")
+    _shrink(stack, tau)
+    return stack[0] if np.iscomplexobj(w) else stack[0].real
 
 
-def _threshold(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float, out: np.ndarray | None = None):
-    """The shrunk stack from slice factors whose leading singular values are
-    ``s`` (written into ``out`` when given), the thresholded singular values
-    (one row per slice), and the rank: the largest per-slice count of
-    ``sigma > tau``."""
-    shrunk = np.maximum(s - tau, 0.0)
-    rank = int(np.count_nonzero(shrunk, axis=1).max())
-    stack = np.matmul(u[:, :, :rank] * shrunk[:, None, :rank], vh[:, :rank, :], out=out)
-    return stack, shrunk, rank
-
-
-def _shrink(w_stack: np.ndarray, tau: float):
-    """svt on every slice of a spectral stack, from full slice SVDs; returns
-    what :func:`_threshold` returns."""
-    return _threshold(*transforms.svd_slices(w_stack, full_matrices=False), tau)
-
+# The shrink step factors and rewrites a spectral stack one batch of stored
+# slices at a time, ceil(slices / _BATCHES) slices per batch, so that slice
+# factors are never held for the whole stack at once.
+_BATCHES = 8
 
 # Right-basis columns kept beyond the iterate rank between shrink steps.
 _OVERSAMPLE = 5
+
+
+def _batches(count: int) -> list[slice]:
+    size = -(-count // _BATCHES)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> int:
+    """Overwrite ``slices`` with their svt, from their factors with leading
+    singular values ``s``, and return its rank: the largest per-slice count
+    of ``sigma > tau``.  ``s`` is thresholded and ``u`` scaled in place; the
+    columns past the rank are exact zeros, so the product leaves them out."""
+    np.subtract(s, tau, out=s)
+    np.maximum(s, 0.0, out=s)
+    rank = int(np.count_nonzero(s, axis=1).max())
+    u = u[:, :, :rank]
+    u *= s[:, None, :rank]
+    np.matmul(u, vh[:, :rank, :], out=slices)
+    return rank
+
+
+def _shrink(stack: np.ndarray, tau: float, keep: int = 0):
+    """svt on every slice of a contiguous complex128 stack, in place, from
+    full slice SVDs.
+
+    Returns the thresholded singular values (one row per slice), the rank
+    (the largest per-slice count of ``sigma > tau``), and, one array per
+    batch, the leading ``keep`` right singular vectors of its slices, or
+    None when the rank is above ``keep - _OVERSAMPLE``.
+    """
+    count, n1, n2 = stack.shape
+    shrunk = np.empty((count, min(n1, n2)))
+    lead = []
+    rank = 0
+    for batch in _batches(count):
+        u, s, vh = transforms.svd_slices(stack[batch], full_matrices=False)
+        rank = max(rank, _write(stack[batch], u, s, vh, tau))
+        shrunk[batch] = s
+        if lead is not None and rank + _OVERSAMPLE <= keep:
+            lead.append(vh[:, :keep].copy())
+        else:
+            lead = None
+        del u, vh  # before the next batch is factored
+    return shrunk, rank, lead
 
 
 class _RankAdaptiveShrink:
@@ -127,37 +162,52 @@ class _RankAdaptiveShrink:
     the stack is factored again.  The first call, and any whose basis would
     be wider than ``min(n1, n2) // 2``, runs the full
     :func:`transforms.svd_slices`.
+
+    Both paths work batch by batch (:func:`_batches`), and the basis is held
+    as one array per batch.  The partial path keeps the narrow factors of
+    every batch until all slices pass the check, then writes them.
     """
 
     def __init__(self, tau: float, n1: int, n2: int):
         self.tau = tau
         self.max_width = min(n1, n2) // 2
-        self.basis: np.ndarray | None = None
+        self.basis: list[np.ndarray] | None = None
         self.rng = np.random.default_rng(0)
 
-    def __call__(self, w_stack: np.ndarray, out: np.ndarray | None = None):
-        """What :func:`_shrink` returns for ``w_stack``, the shrunk stack
-        written into ``out`` when given (which may be ``w_stack``)."""
-        factors = None if self.basis is None else self._partial(w_stack)
+    def __call__(self, stack: np.ndarray):
+        """svt on every slice of a contiguous complex128 stack, in place;
+        returns the thresholded singular values (one row per slice) and the
+        rank, as :func:`_shrink` does."""
+        factors = None if self.basis is None else self._partial(stack)
         if factors is None:
-            factors = transforms.svd_slices(w_stack, full_matrices=False)
-        out, shrunk, rank = _threshold(*factors, self.tau, out=out)
+            shrunk, rank, vhs = _shrink(stack, self.tau, keep=self.max_width)
+        else:
+            rank = max(_write(stack[batch], *f, self.tau) for batch, f in zip(_batches(len(stack)), factors))
+            shrunk = np.concatenate([s for _, s, _ in factors])
+            vhs = [vh for _, _, vh in factors]
+            del factors  # the u factors, before the next basis is made
         width = rank + _OVERSAMPLE
-        self.basis = self._basis(factors[2], width) if width <= self.max_width else None
-        return out, shrunk, rank
+        self.basis = [self._basis(vh, width) for vh in vhs] if width <= self.max_width else None
+        return shrunk, rank
 
-    def _partial(self, w_stack: np.ndarray):
-        """Partial slice factors that pass the SVT check, or None when the
-        basis would grow past ``max_width``."""
-        basis = self.basis
+    def _partial(self, stack: np.ndarray):
+        """Partial factors ``(u, s, vh)`` of every batch, once every slice
+        passes the SVT check, or None when the basis would grow past
+        ``max_width``.  A batch's basis is dropped once it is factored."""
+        basis, self.basis = self.basis, None
         while True:
-            u, s, vh = transforms.partial_svd_slices(w_stack, basis)
-            if (s[:, -1] <= self.tau).all():
-                return u, s, vh
-            width = 2 * basis.shape[2]
+            width = 2 * basis[0].shape[2]
+            factors = []
+            for i, batch in enumerate(_batches(len(stack))):
+                factors.append(transforms.partial_svd_slices(stack[batch], basis[i]))
+                basis[i] = None
+            if all((s[:, -1] <= self.tau).all() for _, s, _ in factors):
+                return factors
             if width > self.max_width:
                 return None
-            basis = self._basis(vh, width)
+            vhs = [vh for _, _, vh in factors]
+            del factors  # the u factors, before the wider basis is made
+            basis = [self._basis(vh, width) for vh in vhs]
 
     def _basis(self, vh: np.ndarray, width: int) -> np.ndarray:
         """The leading ``width`` right singular vectors of each slice, made up
@@ -180,8 +230,9 @@ def shrink_step(w_hat, tau: float) -> np.ndarray:
         raise DimensionError(f"expected order >= 3, got order {w_hat.ndim}")
     if tau < 0:
         raise DataError(f"threshold must be nonnegative, got {tau}")
-    out, _, _ = _shrink(transforms.to_stack(w_hat), tau)
-    return transforms.from_stack(out, w_hat.shape[2:])
+    stack = np.array(transforms.to_stack(w_hat), order="C")
+    _shrink(stack, tau)
+    return transforms.from_stack(stack, w_hat.shape[2:])
 
 
 def complete(y, mask, config: AdmmConfig | None = None, truth=None):
@@ -250,9 +301,12 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         # dual update x + q - z, which is non-finite exactly when z or the
         # update is.
         np.add(q, x, out=q)
-        spectrum = transforms.fft_mode3(q, out=spectrum)
+        # An overflowing transform is caught by the shrink step's finiteness
+        # check, as a NumericalError, not as a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = transforms.fft_mode3(q, out=spectrum)
         stack = transforms.to_stack(spectrum)
-        _, shrunk, rank = shrink(stack, out=stack)
+        shrunk, rank = shrink(stack)
         transforms.ifft_stack(stack, trailing, out=z)
         np.subtract(q, z, out=q)
         if not np.isfinite(q).all():

@@ -34,7 +34,7 @@ from . import transforms
 from .algebra import check_tensor
 from .completion import rse_db
 from .decomposition import t_svd, truncate
-from .errors import DimensionError, FormatError, InfeasibleError
+from .errors import DimensionError, FormatError, InfeasibleError, NumericalError
 
 METHODS = ("svd", "tsvd", "tsvd_tubal")
 
@@ -218,8 +218,8 @@ def _tsvd_step(m):
 def _tsvd_tubal_step(m):
     """Keep the first k singular tubes (tensor-SVD truncation)."""
     factors = t_svd(m)
-    n0 = min(m.shape[:2])
-    tubes = factors.s[np.arange(n0), np.arange(n0), :]
+    # The diagonal tubes of factors.s, without the dense n1 x n2 x n3 tensor.
+    tubes = transforms.ifft_stack(factors.sig_hat[:, None, :], m.shape[2:])[0]
 
     def step(k):
         payload = [np.ascontiguousarray(a) for a in (factors.u[:, :k, :], tubes[:k], factors.v[:, :k, :])]
@@ -335,12 +335,28 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
 
     ``scalars`` is the flat float64 array produced by concatenating the
     payload blocks in declared order; ``meta`` is required for ``tsvd``.
+
+    Raises
+    ------
+    NumericalError
+        If the reconstruction is not finite: the scalars overflowed when
+        multiplied out, or were not finite to begin with.
     """
     _check_method(method)
-    n1, n2, n3 = _check_dims3(dims)
+    dims = _check_dims3(dims)
     expected = stored_count_for(method, dims, k)
     if scalars.size != expected:
         raise DimensionError(f"payload holds {scalars.size} scalars, expected {expected}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _decode(method, dims, k, scalars, meta)
+    if not np.isfinite(out).all():
+        raise NumericalError("decoded tensor is not finite: the payload overflows or holds non-finite scalars")
+    return out
+
+
+def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
+    """What :func:`decode_payload` returns, before its finiteness check."""
+    n1, n2, n3 = dims
     if method == "svd":
         u = scalars[: n1 * n2 * k].reshape(n1 * n2, k, order="F")
         s = scalars[n1 * n2 * k: n1 * n2 * k + k]

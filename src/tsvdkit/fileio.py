@@ -299,6 +299,8 @@ def compressed_from_bytes(data: bytes):
             f"compressed file has {len(data)} bytes, its header declares {end + 9 * n_records}"
         )
     scalars = np.frombuffer(data[_COMPRESSED_HEADER:end], dtype="<f8").astype(np.float64)
+    if not np.isfinite(scalars).all():
+        raise FormatError("compressed file contains non-finite scalars")
     meta = list(struct.iter_unpack("<BII", data[end:]))
     return method, dims, int(k), scalars, meta
 

@@ -219,7 +219,8 @@ def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
     ``per_slice`` operands are split along with the slices; a real slice gets
     their real part.  A slice whose imaginary part is exactly zero is factored
     as a real matrix, so its factors are real.  A run of consecutive slices
-    is factored in place; only scattered ones are copied out.
+    is factored in place; only scattered ones are copied out.  A stack with
+    no real slice is factored whole, with nothing to join.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if not np.isfinite(stack).all():
@@ -230,6 +231,8 @@ def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
     is_real[is_real] = ~stack.imag[is_real].any(axis=(1, 2))
     real, complex_ = _select(is_real), _select(~is_real)
     try:
+        if not is_real.any():
+            return factor(stack, *per_slice)
         from_real = factor(stack[real].real, *(op[real].real for op in per_slice))
         from_complex = factor(stack[complex_], *(op[complex_] for op in per_slice))
     except np.linalg.LinAlgError as exc:

@@ -274,6 +274,18 @@ class TestCompleteCommand:
         )
         assert code == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_warns_nothing(self, tmp_path, capsys):
+        """The overflowing transform ends in exit code 3 alone, without a
+        numpy floating-point warning on the way."""
+        huge = tmp_path / "huge.tsr"
+        fileio.write_tensor(huge, np.full((6, 6, 10), 5e307))
+        code, _ = run(
+            capsys, "complete", str(huge), "--sample-rate", "0.5", "--seed", "1",
+            "--max-iter", "5",
+        )
+        assert code == 3
+
     def test_positivity_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         truth = np.abs(rng.standard_normal((8, 8, 4)))

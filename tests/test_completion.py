@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,13 +123,16 @@ class TestRankAdaptiveShrink:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Slices factored by each path; the shrink step factors a stack
+        batch by batch, so a whole factorization of a stack of ``m`` slices
+        counts ``m``."""
         counts = {"full": 0, "partial": 0}
         for name, key in (("svd_slices", "full"), ("partial_svd_slices", "partial")):
             original = getattr(transforms, name)
 
-            def counting(*args, _original=original, _key=key, **kwargs):
-                counts[_key] += 1
-                return _original(*args, **kwargs)
+            def counting(stack, *args, _original=original, _key=key, **kwargs):
+                counts[_key] += len(stack)
+                return _original(stack, *args, **kwargs)
 
             monkeypatch.setattr(transforms, name, counting)
         return counts
@@ -135,8 +140,10 @@ class TestRankAdaptiveShrink:
     @staticmethod
     def partial_shrink(stack, tau, basis):
         shrink = completion._RankAdaptiveShrink(tau, *stack.shape[1:])
-        shrink.basis = basis
-        return shrink(stack)
+        shrink.basis = [basis[batch] for batch in completion._batches(len(stack))]
+        out = stack.copy()
+        shrunk, rank = shrink(out)
+        return out, shrunk, rank
 
     @staticmethod
     def full_shrink(stack, tau, stored_dims):
@@ -154,7 +161,7 @@ class TestRankAdaptiveShrink:
         stack = spectral_stack((20, 20, 6), 3, seed=20)
         tau = self.tau_for_rank(stack, 2)
         out, shrunk, rank = self.partial_shrink(stack, tau, warm_basis(stack, 2 + 5, seed=21))
-        assert calls == {"full": 0, "partial": 1}
+        assert calls == {"full": 0, "partial": len(stack)}
         assert rank == 2
         assert rel(out, self.full_shrink(stack, tau, (4,))) <= 1e-10
 
@@ -163,7 +170,7 @@ class TestRankAdaptiveShrink:
         tau = 1e-3 * self.tau_for_rank(stack, 6)
         narrow = np.random.default_rng(23).standard_normal((stack.shape[0], 24, 2))
         out, _, rank = self.partial_shrink(stack, tau, narrow)
-        assert calls == {"full": 0, "partial": 3}  # widths 2, 4, 8
+        assert calls == {"full": 0, "partial": 3 * len(stack)}  # widths 2, 4, 8
         assert rank == 6
         assert rel(out, self.full_shrink(stack, tau, (3,))) <= 1e-10
 
@@ -171,7 +178,7 @@ class TestRankAdaptiveShrink:
         stack = spectral_stack((24, 16, 5), 2, seed=24)
         tau = self.tau_for_rank(stack, 2)
         out, _, rank = self.partial_shrink(stack, tau, warm_basis(stack, 7, seed=25))
-        assert calls == {"full": 0, "partial": 1}
+        assert calls == {"full": 0, "partial": len(stack)}
         assert rank == 2
         assert rel(out, self.full_shrink(stack, tau, (3,))) <= 1e-10
 
@@ -180,7 +187,7 @@ class TestRankAdaptiveShrink:
         stack = spectral_stack(dims, 2, seed=26)
         tau = self.tau_for_rank(stack, 1)
         out, _, _ = self.partial_shrink(stack, tau, warm_basis(stack, 6, seed=27))
-        assert calls == {"full": 0, "partial": 1}
+        assert calls == {"full": 0, "partial": len(stack)}
         assert rel(out, self.full_shrink(stack, tau, (4, 2))) <= 1e-10
         real = transforms.real_slices(dims[2:])
         assert real.sum() == 4
@@ -191,7 +198,7 @@ class TestRankAdaptiveShrink:
         tau = self.tau_for_rank(stack, 2)
         stack[1] *= 0.5 * tau / np.linalg.svd(stack[1], compute_uv=False).max()
         out, shrunk, rank = self.partial_shrink(stack, tau, warm_basis(stack, 7, seed=29))
-        assert calls == {"full": 0, "partial": 1}
+        assert calls == {"full": 0, "partial": len(stack)}
         assert rank == 2
         assert np.array_equal(out[1], np.zeros_like(out[1]))
         assert not shrunk[1].any()
@@ -201,7 +208,7 @@ class TestRankAdaptiveShrink:
         stack = np.zeros((4, 12, 12), dtype=complex)
         basis = np.random.default_rng(30).standard_normal((4, 12, 5))
         out, shrunk, rank = self.partial_shrink(stack, 0.5, basis)
-        assert calls == {"full": 0, "partial": 1}
+        assert calls == {"full": 0, "partial": len(stack)}
         assert rank == 0
         assert np.array_equal(out, np.zeros_like(stack))
         assert np.array_equal(out, self.full_shrink(stack, 0.5, (4,)))
@@ -356,6 +363,36 @@ class TestComplete:
         assert 0 < full_stack_svds < report.iterations
         assert len(report.ranks) == report.iterations
         assert report.ranks[-1] == 3
+
+    @staticmethod
+    def traced_peak(dims, rank, config):
+        """The tracemalloc peak of a solve, in tensors of ``dims``, and its
+        report."""
+        truth = synthesis.random_low_tubal_rank(dims, rank, seed=0)
+        mask = np.random.default_rng(1).random(dims) < 0.5
+        y = np.where(mask, truth, 0.0)
+        tracemalloc.start()
+        try:
+            _, report = completion.complete(y, mask, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / y.nbytes, report
+
+    def test_solve_holds_one_batch_of_factors(self):
+        """A solve holds x, z, q, the half spectrum, the observed entries
+        and their flat positions (about 5 tensors), plus the factors of one
+        batch of slices or the narrow factors of the partial path; whole-stack
+        slice factors would take it past 9."""
+        peak, report = self.traced_peak((32, 32, 24), 2, completion.AdmmConfig(rho=0.02))
+        assert report.converged
+        assert report.ranks[0] + 5 > 32 // 2  # starts on the full path
+        assert peak <= 7.0
+
+    def test_full_svd_iterations_hold_one_batch_of_factors(self):
+        peak, report = self.traced_peak((60, 60, 40), 3, completion.AdmmConfig(rho=0.01, max_iter=3))
+        assert min(report.ranks) + 5 > 60 // 2  # full slice SVDs only
+        assert peak <= 6.0
 
     def test_order4_completion(self):
         truth = synthesis.random_low_tubal_rank((10, 10, 4, 3), 2, seed=11)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsvdkit import algebra, compression, decomposition, synthesis
-from tsvdkit.errors import FormatError, InfeasibleError
+from tsvdkit.errors import FormatError, InfeasibleError, NumericalError
 
 
 def rel(got, want):
@@ -216,6 +216,15 @@ class TestDecodePayload:
         scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
         rebuilt = compression.decode_payload(method, m.shape, k, scalars, result.meta)
         assert rel(rebuilt, result.reconstruction) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method,k", [("svd", 3), ("tsvd", 7), ("tsvd_tubal", 2)])
+    def test_overflow_raises_numerical_error(self, method, k):
+        m = np.random.default_rng(10).standard_normal((6, 5, 4))
+        result = compression.compress(m, method, k)
+        scalars = 1e300 * np.concatenate([b.ravel(order="F") for b in result.payload])
+        with pytest.raises(NumericalError, match="not finite"):
+            compression.decode_payload(method, m.shape, k, scalars, result.meta)
 
     def test_full_budget_payload_rebuilds_input(self):
         rng = np.random.default_rng(11)

@@ -451,6 +451,15 @@ class TestCompressedFile:
         with pytest.raises(FormatError):
             fileio.compressed_from_bytes(b"XXXX" + bytes(30))
 
+    @pytest.mark.parametrize("method,k", [("svd", 2), ("tsvd", 5), ("tsvd_tubal", 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scalar_rejected(self, method, k, bad):
+        m = np.random.default_rng(4).standard_normal((5, 4, 6))
+        blob = fileio.compressed_to_bytes(compression.compress(m, method, k), m.shape)
+        last = len(blob) - 9 * k * (method == "tsvd") - 8
+        with pytest.raises(FormatError, match="non-finite"):
+            fileio.compressed_from_bytes(blob[:last] + struct.pack("<d", bad) + blob[last + 8:])
+
     @pytest.mark.parametrize(
         "method,k,corrupt",
         [
