@@ -8,13 +8,20 @@ spectral frontal slice (the proximal map of the penalty, threshold
 ``1/rho``), and a unit-step dual update.  Once the iterate has low rank, the
 shrinkage computes only the leading singular triplets of each slice.  It
 factors a few slices at a time, so the factors of the whole spectral stack
-are never held at once.
+are never held at once, and on a machine with a core to spare it shares the
+full factorizations with one worker thread, with the same results.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +34,9 @@ from .errors import (
     NumericalError,
     UndefinedMetricError,
 )
+
+if TYPE_CHECKING:
+    import concurrent.futures
 
 
 @dataclass(frozen=True)
@@ -103,10 +113,160 @@ _BATCHES = 8
 # Right-basis columns kept beyond the iterate rank between shrink steps.
 _OVERSAMPLE = 5
 
+# The smallest slice work, n1 * n2 * min(n1, n2) as for a slice SVD, at which
+# a worker thread pays for its handoffs: that of a 64x64 slice.  Measured on 2
+# cores (solves of n x n x 40, worker against none): 0.86-0.89x at n = 64,
+# 0.95-1.02x at 56, about 0.98x at 40 and 48, 1.18x at 32.
+_TWO_WIDE_MIN_WORK = 64**3
+
+# The environment variables each BLAS library takes its thread count from,
+# in the order it reads them, by a substring of numpy's BLAS build name.
+_BLAS_THREAD_VARIABLES = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _two_wide_pays(cores: int, blas_threads: int | None, n1: int, n2: int, siblings: bool) -> bool:
+    """Whether the shrink step of ``n1 x n2`` slices runs on a worker thread
+    as well as the caller: only with two usable cores, BLAS known to run one
+    thread (a threaded BLAS already fills the cores), slices large enough
+    that the handoffs cost less than the work they share, and no sibling
+    processes that likely keep the other cores busy."""
+    return (
+        cores >= 2
+        and blas_threads == 1
+        and n1 * n2 * min(n1, n2) >= _TWO_WIDE_MIN_WORK
+        and not siblings
+    )
+
+
+def _blas_threads(blas: str, environ) -> int | None:
+    """The thread count the BLAS library named ``blas`` takes from
+    ``environ``, or None when it is not pinned there or the library is not
+    one of :data:`_BLAS_THREAD_VARIABLES`."""
+    for family, names in _BLAS_THREAD_VARIABLES.items():
+        if family in blas.lower():
+            for name in names:
+                value = environ.get(name, "").strip()
+                if value.isdigit() and int(value) > 0:
+                    return int(value)
+            return None
+    return None
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return ""
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _has_siblings() -> bool:
+    """Whether this process is likely one of several sharing the cores: a
+    forked child, or one that multiprocessing started (a pool's worker, for
+    one).  Processes started any other way cannot be told apart."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    return _forked or (multiprocessing is not None and multiprocessing.parent_process() is not None)
+
+
+# One worker thread per process, made on first use, so that concurrent solves
+# share it and cannot take more than two cores between them.
+_worker: concurrent.futures.ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _shared_worker() -> concurrent.futures.ThreadPoolExecutor:
+    # Imported here, so that a process that never takes the worker does not
+    # load concurrent.futures and the logging it imports: about 2 MB of peak
+    # memory on the benchmark's analyze workload.
+    import concurrent.futures
+
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="tsvdkit-shrink")
+        return _worker
+
+
+# Set in a forked child, which shares the cores with its parent or siblings.
+_forked = False
+
+
+def _after_fork_in_child() -> None:
+    """In a forked child the worker thread does not exist: make a new one on
+    first use, should the rule still take it, instead of waiting on it."""
+    global _worker, _worker_lock, _forked
+    _worker, _worker_lock, _forked = None, threading.Lock(), True
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
 
 def _batches(count: int) -> list[slice]:
     size = -(-count // _BATCHES)
-    return [slice(start, start + size) for start in range(0, count, size)]
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _halves(batch: slice) -> list[slice]:
+    mid = (batch.start + batch.stop + 1) // 2
+    return [slice(batch.start, mid), slice(mid, batch.stop)] if batch.stop - batch.start > 1 else [batch]
+
+
+def _map(fn, count: int, worker: concurrent.futures.Executor | None = None) -> list:
+    """``[fn(i) for i in range(count)]``, on the caller and the worker.
+
+    Each thread takes the next index as it finishes one, so a worker given
+    less of a core holds up at most one call, and one yet to start when the
+    caller has taken every index is not waited for.  The worker runs ``fn``
+    in a copy of the caller's context (numpy's error state is
+    context-local).  An error is the one the loop raises, that of the first
+    failing index, raised once both threads have stopped; neither takes an
+    index after an error.
+    """
+    if worker is None or count < 2:
+        return [fn(i) for i in range(count)]
+    results = [None] * count
+    errors = {}
+    claims = itertools.count()  # next() on it is atomic under the interpreter lock
+
+    def drain():
+        for i in claims:
+            if i >= count or errors:
+                return
+            try:
+                results[i] = fn(i)
+            except Exception as exc:
+                errors[i] = exc
+
+    future = worker.submit(contextvars.copy_context().run, drain)
+    try:
+        drain()
+    finally:
+        # A worker yet to start has nothing left to take; one that has
+        # started is waited for until it stops writing.
+        escaped = None if future.cancel() else future.exception()
+    if escaped is not None:
+        raise escaped
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _shrink_worker(n1: int, n2: int) -> concurrent.futures.Executor | None:
+    """The worker thread for the full SVDs of ``n1 x n2`` slices, or None
+    where it does not pay (:func:`_two_wide_pays`)."""
+    blas_threads = _blas_threads(_blas_name(), os.environ)
+    pays = _two_wide_pays(_usable_cores(), blas_threads, n1, n2, _has_siblings())
+    return _shared_worker() if pays else None
 
 
 def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> int:
@@ -123,9 +283,10 @@ def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau
     return rank
 
 
-def _shrink(stack: np.ndarray, tau: float, keep: int = 0):
+def _shrink(stack: np.ndarray, tau: float, keep: int = 0, worker: concurrent.futures.Executor | None = None):
     """svt on every slice of a contiguous complex128 stack, in place, from
-    full slice SVDs.
+    full slice SVDs, batch by batch (:func:`_batches`), on the caller and
+    ``worker`` when one is given (:func:`_map`).
 
     Returns the thresholded singular values (one row per slice), the rank
     (the largest per-slice count of ``sigma > tau``), and, one array per
@@ -133,18 +294,40 @@ def _shrink(stack: np.ndarray, tau: float, keep: int = 0):
     None when the rank is above ``keep - _OVERSAMPLE``.
     """
     count, n1, n2 = stack.shape
+    if worker is not None:
+        # The loop raises at the first batch that is not finite before it
+        # factors a later one, whose product could warn of the overflow.
+        transforms.check_finite(stack)
     shrunk = np.empty((count, min(n1, n2)))
-    lead = []
-    rank = 0
-    for batch in _batches(count):
-        u, s, vh = transforms.svd_slices(stack[batch], full_matrices=False)
-        rank = max(rank, _write(stack[batch], u, s, vh, tau))
-        shrunk[batch] = s
-        if lead is not None and rank + _OVERSAMPLE <= keep:
-            lead.append(vh[:, :keep].copy())
-        else:
-            lead = None
-        del u, vh  # before the next batch is factored
+    batches = _batches(count)
+    # With a worker, each batch is factored in halves, which the two threads
+    # may take at once: the factors in flight stay about one batch.
+    parts = [(j, part) for j, batch in enumerate(batches) for part in (_halves(batch) if worker else [batch])]
+    # Set, and never cleared, by the first part whose rank is above
+    # keep - _OVERSAMPLE; later parts then copy no leading vectors.  A part
+    # on the other thread may read it late and make a copy that goes unused.
+    over = False
+
+    def factor(i: int):
+        nonlocal over
+        part = parts[i][1]
+        u, s, vh = transforms.svd_slices(stack[part], full_matrices=False)
+        rank = _write(stack[part], u, s, vh, tau)
+        shrunk[part] = s
+        if rank + _OVERSAMPLE > keep:
+            over = True
+        return rank, None if over else vh[:, :keep].copy()
+
+    results = _map(factor, len(parts), worker)
+    rank = max(r for r, _ in results)
+    if rank + _OVERSAMPLE > keep:
+        return shrunk, rank, None
+    lead = [[] for _ in batches]
+    for (j, _), (_, vh) in zip(parts, results):
+        lead[j].append(vh)
+    del results  # so that each batch's halves are freed once joined
+    for j, halves in enumerate(lead):
+        lead[j] = halves[0] if len(halves) == 1 else np.concatenate(halves)
     return shrunk, rank, lead
 
 
@@ -165,7 +348,10 @@ class _RankAdaptiveShrink:
 
     Both paths work batch by batch (:func:`_batches`), and the basis is held
     as one array per batch.  The partial path keeps the narrow factors of
-    every batch until all slices pass the check, then writes them.
+    every batch until all slices pass the check, then writes them.  Where it
+    pays, the full path shares its batches with a worker thread
+    (:func:`_shrink_worker`); the partial path runs on the caller, its
+    batches being too small to gain from the handoffs.
     """
 
     def __init__(self, tau: float, n1: int, n2: int):
@@ -173,6 +359,7 @@ class _RankAdaptiveShrink:
         self.max_width = min(n1, n2) // 2
         self.basis: list[np.ndarray] | None = None
         self.rng = np.random.default_rng(0)
+        self.worker = _shrink_worker(n1, n2)
 
     def __call__(self, stack: np.ndarray):
         """svt on every slice of a contiguous complex128 stack, in place;
@@ -180,7 +367,7 @@ class _RankAdaptiveShrink:
         rank, as :func:`_shrink` does."""
         factors = None if self.basis is None else self._partial(stack)
         if factors is None:
-            shrunk, rank, vhs = _shrink(stack, self.tau, keep=self.max_width)
+            shrunk, rank, vhs = _shrink(stack, self.tau, self.max_width, self.worker)
         else:
             rank = max(_write(stack[batch], *f, self.tau) for batch, f in zip(_batches(len(stack)), factors))
             shrunk = np.concatenate([s for _, s, _ in factors])

@@ -212,6 +212,21 @@ def _join(real, complex_, from_real: np.ndarray, from_complex: np.ndarray) -> np
     return out
 
 
+def check_finite(stack: np.ndarray) -> None:
+    """Raise ``NumericalError`` if a spectral stack holds a non-finite entry:
+    the forward transform overflowed."""
+    if not np.isfinite(stack).all():
+        raise NumericalError("spectral slices are not finite; the transform overflowed")
+
+
+def _as_complex_factors(factors, ndim: int):
+    """Factors of real slices as a join with complex ones returns them: the
+    matrices, of the stack's order, complex; singular values real."""
+    if isinstance(factors, np.ndarray):
+        return factors
+    return tuple(f.astype(np.complex128, order="C") if f.ndim == ndim else f for f in factors)
+
+
 def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
     """Apply a batched factorization to the real and to the complex slices of
     a spectral stack, and join its outputs slice by slice.
@@ -220,11 +235,12 @@ def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
     their real part.  A slice whose imaginary part is exactly zero is factored
     as a real matrix, so its factors are real.  A run of consecutive slices
     is factored in place; only scattered ones are copied out.  A stack with
-    no real slice is factored whole, with nothing to join.
+    no real slice is factored whole, with nothing to join, and one with no
+    complex slice is factored as one real stack, its matrix factors cast to
+    complex128 as a join would cast them.
     """
     stack = np.asarray(stack, dtype=np.complex128)
-    if not np.isfinite(stack).all():
-        raise NumericalError("spectral slices are not finite; the transform overflowed")
+    check_finite(stack)
     # A nonzero imaginary part in its first row settles that a slice is
     # complex; only the other slices are scanned whole.
     is_real = ~stack.imag[:, :1, :].any(axis=(1, 2))
@@ -234,6 +250,8 @@ def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
         if not is_real.any():
             return factor(stack, *per_slice)
         from_real = factor(stack[real].real, *(op[real].real for op in per_slice))
+        if is_real.all():
+            return _as_complex_factors(from_real, stack.ndim)
         from_complex = factor(stack[complex_], *(op[complex_] for op in per_slice))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed to converge: {exc}") from exc

@@ -1,3 +1,7 @@
+import concurrent.futures
+import multiprocessing
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -444,6 +448,108 @@ class TestComplete:
         with pytest.raises(DivergenceError) as info:
             completion.complete(mask.apply(truth), mask, completion.AdmmConfig(max_iter=50))
         assert info.value.iteration == at
+
+
+class TestTwoWide:
+    """When the full-SVD shrink step shares its batches with a worker
+    thread, and how the batches are shared."""
+
+    @pytest.mark.parametrize(
+        "cores, blas_threads, n1, n2, siblings, pays",
+        [
+            (2, 1, 100, 100, False, True),
+            (2, 1, 64, 64, False, True),
+            (4, 1, 40, 200, False, True),
+            (1, 1, 100, 100, False, False),
+            (2, None, 100, 100, False, False),
+            (2, 2, 100, 100, False, False),
+            (2, 1, 63, 63, False, False),
+            (8, 1, 30, 30, False, False),
+            (2, 1, 100, 100, True, False),
+        ],
+    )
+    def test_rule(self, cores, blas_threads, n1, n2, siblings, pays):
+        assert completion._two_wide_pays(cores, blas_threads, n1, n2, siblings) == pays
+
+    @pytest.mark.parametrize(
+        "blas, environ, threads",
+        [
+            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OMP_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "many"}, None),
+            ("openblas", {}, None),
+            ("mkl-sdl", {"MKL_NUM_THREADS": "1"}, 1),
+            ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, None),
+            ("accelerate", {"OPENBLAS_NUM_THREADS": "1"}, None),
+        ],
+    )
+    def test_blas_threads(self, blas, environ, threads):
+        assert completion._blas_threads(blas, environ) == threads
+
+    def test_worker_from_the_machine(self, monkeypatch):
+        monkeypatch.setattr(completion, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(completion, "_blas_name", lambda: "scipy-openblas")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(completion, "_has_siblings", lambda: False)
+        assert completion._shrink_worker(100, 100) is completion._shared_worker()
+        assert completion._shrink_worker(30, 30) is None
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert completion._shrink_worker(100, 100) is None
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_pool_workers_have_siblings(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method")
+        with multiprocessing.get_context(method).Pool(1) as pool:
+            assert pool.apply(completion._has_siblings)
+
+    def test_map_keeps_order(self):
+        with concurrent.futures.ThreadPoolExecutor(1) as worker:
+            assert completion._map(lambda i: i * i, 9, worker) == [i * i for i in range(9)]
+
+    def test_map_runs_in_the_callers_error_state(self):
+        both = threading.Barrier(2)
+
+        def fn(i):
+            both.wait(timeout=10)  # indices 0 and 1 run on different threads
+            return threading.get_ident(), np.geterr()["divide"]
+
+        with concurrent.futures.ThreadPoolExecutor(1) as worker, np.errstate(divide="raise"):
+            got = completion._map(fn, 2, worker)
+        assert got[0][0] != got[1][0]
+        assert [state for _, state in got] == ["raise", "raise"]
+
+    def test_map_raises_the_first_error_once_both_threads_stop(self):
+        started, calls, finished = threading.Event(), [], []
+
+        def fn(i):
+            calls.append(i)
+            if i == 0:
+                started.wait(timeout=10)
+                raise NumericalError("first")
+            started.set()
+            time.sleep(0.05)
+            finished.append(i)
+            raise DataError("second")
+
+        with concurrent.futures.ThreadPoolExecutor(1) as worker:
+            with pytest.raises(NumericalError, match="first"):
+                completion._map(fn, 6, worker)
+            assert finished == [1]
+        assert sorted(calls) == [0, 1]
+
+    def test_map_raises_an_error_of_either_thread(self):
+        def fn(i):
+            if i == 3:
+                raise DataError("late")
+            return i
+
+        with concurrent.futures.ThreadPoolExecutor(1) as worker:
+            with pytest.raises(DataError, match="late"):
+                completion._map(fn, 6, worker)
 
 
 class TestConfigValidation:

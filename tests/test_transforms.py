@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tsvdkit import transforms
+from tsvdkit import completion, transforms
 from tsvdkit.synthesis import random_low_tubal_rank
 from tsvdkit.errors import DataError, DimensionError, NumericalError
 
@@ -171,6 +171,33 @@ class TestSvdSlices:
         u, s, vh = transforms.svd_slices(stack)
         assert u[1].imag.any() and not u[2].imag.any()
         assert np.allclose((u * s[:, None, :]) @ vh, stack, atol=1e-12)
+
+    def test_all_real_stack_gets_complex_factors(self):
+        stack = transforms.to_stack(transforms.fft_mode3(np.random.default_rng(9).standard_normal((5, 4, 2))))
+        u, s, vh = transforms.svd_slices(stack)
+        assert u.dtype == vh.dtype == np.complex128 and s.dtype == np.float64
+        assert np.allclose((u[:, :, :4] * s[:, None, :]) @ vh, stack, atol=1e-12)
+        u, s, vh = transforms.partial_svd_slices(stack, np.ones((2, 4, 2)))
+        assert u.dtype == vh.dtype == np.complex128 and s.dtype == np.float64
+        assert transforms.svd_slices(stack, compute_uv=False).dtype == np.float64
+
+    def test_no_zero_length_factorization(self, monkeypatch):
+        """A batch of real slices only is factored without a call on its
+        empty set of complex slices (30x30x10: six stored slices, one per
+        batch, of which slices 0 and 5 are real)."""
+        shapes = []
+        for name in ("svd", "qr"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        truth = random_low_tubal_rank((30, 30, 10), 2, seed=8)
+        mask = np.random.default_rng(9).random(truth.shape) < 0.3
+        completion.complete(np.where(mask, truth, 0.0), mask, completion.AdmmConfig(rho=0.02))
+        assert shapes and all(shape[0] > 0 for shape in shapes)
 
     def test_nonfinite_slices_rejected(self):
         stack = np.zeros((2, 3, 3), dtype=complex)
