@@ -31,11 +31,9 @@ from .errors import (
     DataError,
     DimensionError,
     DivergenceError,
-    FormatError,
     InfeasibleError,
     NumericalError,
     TsvdkitError,
-    UndefinedMetricError,
 )
 from .synthesis import random_low_tubal_rank
 from .transforms import SamplingOperator
@@ -44,14 +42,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_INFEASIBLE = 4
-
-_INPUT_ERRORS = (
-    DataError,
-    DimensionError,
-    FormatError,
-    UndefinedMetricError,
-    OSError,
-)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -309,10 +299,7 @@ def main(argv=None) -> int:
     except (DivergenceError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TsvdkitError as exc:
+    except (TsvdkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

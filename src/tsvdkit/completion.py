@@ -9,7 +9,8 @@ spectral frontal slice (the proximal map of the penalty, threshold
 shrinkage computes only the leading singular triplets of each slice.  It
 factors a few slices at a time, so the factors of the whole spectral stack
 are never held at once, and on a machine with a core to spare it shares the
-full factorizations with one worker thread, with the same results.
+full factorizations of each call with one helper thread, with the same
+results; a process runs at most one helper at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .errors import (
     NumericalError,
     UndefinedMetricError,
 )
-
-if TYPE_CHECKING:
-    import concurrent.futures
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,8 @@ _BATCHES = 8
 _OVERSAMPLE = 5
 
 # The smallest slice work, n1 * n2 * min(n1, n2) as for a slice SVD, at which
-# a worker thread pays for its handoffs: that of a 64x64 slice.  Measured on 2
-# cores (solves of n x n x 40, worker against none): 0.86-0.89x at n = 64,
+# a helper thread pays for its handoffs: that of a 64x64 slice.  Measured on 2
+# cores (solves of n x n x 40, helper against none): 0.86-0.89x at n = 64,
 # 0.95-1.02x at 56, about 0.98x at 40 and 48, 1.18x at 32.
 _TWO_WIDE_MIN_WORK = 64**3
 
@@ -128,7 +125,7 @@ _BLAS_THREAD_VARIABLES = {
 
 
 def _two_wide_pays(cores: int, blas_threads: int | None, n1: int, n2: int, siblings: bool) -> bool:
-    """Whether the shrink step of ``n1 x n2`` slices runs on a worker thread
+    """Whether the shrink step of ``n1 x n2`` slices runs on a helper thread
     as well as the caller: only with two usable cores, BLAS known to run one
     thread (a threaded BLAS already fills the cores), slices large enough
     that the handoffs cost less than the work they share, and no sibling
@@ -169,46 +166,21 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+# The process this module was loaded in: any other is a forked child.
+_LOADED_IN = os.getpid()
+
+
 def _has_siblings() -> bool:
     """Whether this process is likely one of several sharing the cores: a
     forked child, or one that multiprocessing started (a pool's worker, for
     one).  Processes started any other way cannot be told apart."""
     multiprocessing = sys.modules.get("multiprocessing")
-    return _forked or (multiprocessing is not None and multiprocessing.parent_process() is not None)
+    return os.getpid() != _LOADED_IN or (multiprocessing is not None and multiprocessing.parent_process() is not None)
 
 
-# One worker thread per process, made on first use, so that concurrent solves
-# share it and cannot take more than two cores between them.
-_worker: concurrent.futures.ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _shared_worker() -> concurrent.futures.ThreadPoolExecutor:
-    # Imported here, so that a process that never takes the worker does not
-    # load concurrent.futures and the logging it imports: about 2 MB of peak
-    # memory on the benchmark's analyze workload.
-    import concurrent.futures
-
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="tsvdkit-shrink")
-        return _worker
-
-
-# Set in a forked child, which shares the cores with its parent or siblings.
-_forked = False
-
-
-def _after_fork_in_child() -> None:
-    """In a forked child the worker thread does not exist: make a new one on
-    first use, should the rule still take it, instead of waiting on it."""
-    global _worker, _worker_lock, _forked
-    _worker, _worker_lock, _forked = None, threading.Lock(), True
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_after_fork_in_child)
+# Held while a helper thread runs, so that concurrent solves cannot take more
+# than two cores between them: a call that finds it held runs on its caller.
+_helper = threading.Lock()
 
 
 def _batches(count: int) -> list[slice]:
@@ -221,18 +193,19 @@ def _halves(batch: slice) -> list[slice]:
     return [slice(batch.start, mid), slice(mid, batch.stop)] if batch.stop - batch.start > 1 else [batch]
 
 
-def _map(fn, count: int, worker: concurrent.futures.Executor | None = None) -> list:
-    """``[fn(i) for i in range(count)]``, on the caller and the worker.
+def _map(fn, count: int, two_wide: bool) -> list:
+    """``[fn(i) for i in range(count)]``, on the caller and, when
+    ``two_wide`` and no other call holds one, a helper thread started for
+    this call and joined before it returns.
 
-    Each thread takes the next index as it finishes one, so a worker given
-    less of a core holds up at most one call, and one yet to start when the
-    caller has taken every index is not waited for.  The worker runs ``fn``
-    in a copy of the caller's context (numpy's error state is
-    context-local).  An error is the one the loop raises, that of the first
-    failing index, raised once both threads have stopped; neither takes an
-    index after an error.
+    Each thread takes the next index as it finishes one, so a helper given
+    less of a core holds up at most one call.  The helper runs ``fn`` in a
+    copy of the caller's context (numpy's error state is context-local).  An
+    error is the one the loop raises, that of the first failing index,
+    raised once both threads have stopped; neither takes an index after an
+    error.
     """
-    if worker is None or count < 2:
+    if not two_wide or count < 2 or not _helper.acquire(blocking=False):
         return [fn(i) for i in range(count)]
     results = [None] * count
     errors = {}
@@ -247,26 +220,25 @@ def _map(fn, count: int, worker: concurrent.futures.Executor | None = None) -> l
             except Exception as exc:
                 errors[i] = exc
 
-    future = worker.submit(contextvars.copy_context().run, drain)
     try:
-        drain()
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(drain,), name="tsvdkit-shrink")
+        helper.start()
+        try:
+            drain()
+        finally:
+            helper.join()
     finally:
-        # A worker yet to start has nothing left to take; one that has
-        # started is waited for until it stops writing.
-        escaped = None if future.cancel() else future.exception()
-    if escaped is not None:
-        raise escaped
+        _helper.release()
     if errors:
         raise errors[min(errors)]
     return results
 
 
-def _shrink_worker(n1: int, n2: int) -> concurrent.futures.Executor | None:
-    """The worker thread for the full SVDs of ``n1 x n2`` slices, or None
-    where it does not pay (:func:`_two_wide_pays`)."""
+def _shrink_two_wide(n1: int, n2: int) -> bool:
+    """Whether the full SVDs of ``n1 x n2`` slices pay for a helper thread
+    (:func:`_two_wide_pays`)."""
     blas_threads = _blas_threads(_blas_name(), os.environ)
-    pays = _two_wide_pays(_usable_cores(), blas_threads, n1, n2, _has_siblings())
-    return _shared_worker() if pays else None
+    return _two_wide_pays(_usable_cores(), blas_threads, n1, n2, _has_siblings())
 
 
 def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> int:
@@ -283,10 +255,10 @@ def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau
     return rank
 
 
-def _shrink(stack: np.ndarray, tau: float, keep: int = 0, worker: concurrent.futures.Executor | None = None):
+def _shrink(stack: np.ndarray, tau: float, keep: int = 0, two_wide: bool = False):
     """svt on every slice of a contiguous complex128 stack, in place, from
-    full slice SVDs, batch by batch (:func:`_batches`), on the caller and
-    ``worker`` when one is given (:func:`_map`).
+    full slice SVDs, batch by batch (:func:`_batches`), on the caller and,
+    when ``two_wide``, a helper thread (:func:`_map`).
 
     Returns the thresholded singular values (one row per slice), the rank
     (the largest per-slice count of ``sigma > tau``), and, one array per
@@ -294,31 +266,26 @@ def _shrink(stack: np.ndarray, tau: float, keep: int = 0, worker: concurrent.fut
     None when the rank is above ``keep - _OVERSAMPLE``.
     """
     count, n1, n2 = stack.shape
-    if worker is not None:
+    if two_wide:
         # The loop raises at the first batch that is not finite before it
         # factors a later one, whose product could warn of the overflow.
         transforms.check_finite(stack)
     shrunk = np.empty((count, min(n1, n2)))
     batches = _batches(count)
-    # With a worker, each batch is factored in halves, which the two threads
-    # may take at once: the factors in flight stay about one batch.
-    parts = [(j, part) for j, batch in enumerate(batches) for part in (_halves(batch) if worker else [batch])]
-    # Set, and never cleared, by the first part whose rank is above
-    # keep - _OVERSAMPLE; later parts then copy no leading vectors.  A part
-    # on the other thread may read it late and make a copy that goes unused.
-    over = False
+    # Two-wide, each batch is factored in halves, which the two threads may
+    # take at once: the factors in flight stay about one batch.
+    parts = [(j, part) for j, batch in enumerate(batches) for part in (_halves(batch) if two_wide else [batch])]
 
     def factor(i: int):
-        nonlocal over
         part = parts[i][1]
         u, s, vh = transforms.svd_slices(stack[part], full_matrices=False)
         rank = _write(stack[part], u, s, vh, tau)
         shrunk[part] = s
-        if rank + _OVERSAMPLE > keep:
-            over = True
-        return rank, None if over else vh[:, :keep].copy()
+        # A part over the cap copies nothing; the copies of the others go
+        # unused when any part is.
+        return rank, vh[:, :keep].copy() if rank + _OVERSAMPLE <= keep else None
 
-    results = _map(factor, len(parts), worker)
+    results = _map(factor, len(parts), two_wide)
     rank = max(r for r, _ in results)
     if rank + _OVERSAMPLE > keep:
         return shrunk, rank, None
@@ -349,8 +316,8 @@ class _RankAdaptiveShrink:
     Both paths work batch by batch (:func:`_batches`), and the basis is held
     as one array per batch.  The partial path keeps the narrow factors of
     every batch until all slices pass the check, then writes them.  Where it
-    pays, the full path shares its batches with a worker thread
-    (:func:`_shrink_worker`); the partial path runs on the caller, its
+    pays (:func:`_shrink_two_wide`), each call of the full path shares its
+    batches with a helper thread; the partial path runs on the caller, its
     batches being too small to gain from the handoffs.
     """
 
@@ -359,7 +326,7 @@ class _RankAdaptiveShrink:
         self.max_width = min(n1, n2) // 2
         self.basis: list[np.ndarray] | None = None
         self.rng = np.random.default_rng(0)
-        self.worker = _shrink_worker(n1, n2)
+        self.two_wide = _shrink_two_wide(n1, n2)
 
     def __call__(self, stack: np.ndarray):
         """svt on every slice of a contiguous complex128 stack, in place;
@@ -367,7 +334,7 @@ class _RankAdaptiveShrink:
         rank, as :func:`_shrink` does."""
         factors = None if self.basis is None else self._partial(stack)
         if factors is None:
-            shrunk, rank, vhs = _shrink(stack, self.tau, self.max_width, self.worker)
+            shrunk, rank, vhs = _shrink(stack, self.tau, self.max_width, self.two_wide)
         else:
             rank = max(_write(stack[batch], *f, self.tau) for batch, f in zip(_batches(len(stack)), factors))
             shrunk = np.concatenate([s for _, s, _ in factors])

@@ -33,7 +33,7 @@ import numpy as np
 from . import transforms
 from .algebra import check_tensor
 from .completion import rse_db
-from .decomposition import t_svd, truncate
+from .decomposition import t_svd
 from .errors import DimensionError, FormatError, InfeasibleError, NumericalError
 
 METHODS = ("svd", "tsvd", "tsvd_tubal")
@@ -144,8 +144,10 @@ def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
     for the next holds one reconstruction at a time.  The tensor and every k
     are checked before anything is factored; the tensor is then factored once
     for the whole sweep (the unfolding SVD for ``svd``, :func:`t_svd` for
-    ``tsvd`` and ``tsvd_tubal``).  At ``k == k_max`` the reconstruction is an
-    exact copy of the input.
+    ``tsvd`` and ``tsvd_tubal``).  Each reconstruction is the one
+    :func:`decode_payload` makes from the result's payload, so ``rse_db`` is
+    the error of exactly what is stored, except at ``k == k_max``, where the
+    reconstruction is an exact copy of the input.
     """
     m = check_tensor(m, name="compression input")
     top = k_max(method, m.shape)
@@ -156,8 +158,9 @@ def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
         return
     step = _FACTOR[method](m)
     for k in ks:
-        payload, meta, rebuild = step(k)
-        yield _result(m, method, k, payload, meta, m.copy() if k == top else rebuild())
+        payload, meta = step(k)
+        yield _result(m, method, k, payload, meta, m.copy() if k == top else _decode(
+            method, m.shape, k, np.concatenate([b.ravel(order="F") for b in payload]), meta))
 
 
 def compress(m, method: str, k: int) -> CompressionResult:
@@ -181,8 +184,7 @@ def _result(m, method: str, k: int, payload, meta, recon) -> CompressionResult:
 
 
 # Each scheme factors the tensor once and returns its per-k step, which gives
-# the payload blocks, the tsvd record bookkeeping and a callable building the
-# reconstruction.
+# the payload blocks and the tsvd record bookkeeping.
 
 def _svd_step(m):
     """Rank-k truncated SVD of the slice-vectorized unfolding."""
@@ -190,8 +192,7 @@ def _svd_step(m):
     u, s, vh = np.linalg.svd(m.reshape(n1 * n2, n3, order="F"), full_matrices=False)
 
     def step(k):
-        payload = [np.ascontiguousarray(a) for a in (u[:, :k], s[:k], vh[:k, :].T)]
-        return payload, [], lambda: ((u[:, :k] * s[:k]) @ vh[:k, :]).reshape(m.shape, order="F")
+        return [np.ascontiguousarray(a) for a in (u[:, :k], s[:k], vh[:k, :].T)], []
 
     return step
 
@@ -209,8 +210,7 @@ def _tsvd_step(m):
         records = _select_tsvd_records(factors.sig_hat, factors.u_hat, factors.v_hat, real, k)
         payload = [np.concatenate(([scalar], u_part, v_part))
                    for _, _, _, scalar, u_part, v_part in records]
-        meta = [(kind, j, i) for kind, j, i, _, _, _ in records]
-        return payload, meta, lambda: _decode_tsvd_records(records, m.shape)
+        return payload, [(kind, j, i) for kind, j, i, _, _, _ in records]
 
     return step
 
@@ -222,8 +222,7 @@ def _tsvd_tubal_step(m):
     tubes = transforms.ifft_stack(factors.sig_hat[:, None, :], m.shape[2:])[0]
 
     def step(k):
-        payload = [np.ascontiguousarray(a) for a in (factors.u[:, :k, :], tubes[:k], factors.v[:, :k, :])]
-        return payload, [], lambda: truncate(factors, k)
+        return [np.ascontiguousarray(a) for a in (factors.u[:, :k, :], tubes[:k], factors.v[:, :k, :])], []
 
     return step
 

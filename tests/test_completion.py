@@ -1,5 +1,5 @@
-import concurrent.futures
 import multiprocessing
+import os
 import threading
 import time
 import tracemalloc
@@ -451,7 +451,7 @@ class TestComplete:
 
 
 class TestTwoWide:
-    """When the full-SVD shrink step shares its batches with a worker
+    """When the full-SVD shrink step shares its batches with a helper
     thread, and how the batches are shared."""
 
     @pytest.mark.parametrize(
@@ -493,10 +493,10 @@ class TestTwoWide:
         monkeypatch.setattr(completion, "_blas_name", lambda: "scipy-openblas")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(completion, "_has_siblings", lambda: False)
-        assert completion._shrink_worker(100, 100) is completion._shared_worker()
-        assert completion._shrink_worker(30, 30) is None
+        assert completion._shrink_two_wide(100, 100) is True
+        assert completion._shrink_two_wide(30, 30) is False
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert completion._shrink_worker(100, 100) is None
+        assert completion._shrink_two_wide(100, 100) is False
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
@@ -506,9 +506,22 @@ class TestTwoWide:
         with multiprocessing.get_context(method).Pool(1) as pool:
             assert pool.apply(completion._has_siblings)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_forked_child_has_siblings(self):
+        assert not completion._has_siblings()
+        pid = os.fork()
+        if pid == 0:
+            code = 2
+            try:
+                code = 0 if completion._has_siblings() else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
     def test_map_keeps_order(self):
-        with concurrent.futures.ThreadPoolExecutor(1) as worker:
-            assert completion._map(lambda i: i * i, 9, worker) == [i * i for i in range(9)]
+        assert completion._map(lambda i: i * i, 9, True) == [i * i for i in range(9)]
 
     def test_map_runs_in_the_callers_error_state(self):
         both = threading.Barrier(2)
@@ -517,8 +530,8 @@ class TestTwoWide:
             both.wait(timeout=10)  # indices 0 and 1 run on different threads
             return threading.get_ident(), np.geterr()["divide"]
 
-        with concurrent.futures.ThreadPoolExecutor(1) as worker, np.errstate(divide="raise"):
-            got = completion._map(fn, 2, worker)
+        with np.errstate(divide="raise"):
+            got = completion._map(fn, 2, True)
         assert got[0][0] != got[1][0]
         assert [state for _, state in got] == ["raise", "raise"]
 
@@ -535,10 +548,9 @@ class TestTwoWide:
             finished.append(i)
             raise DataError("second")
 
-        with concurrent.futures.ThreadPoolExecutor(1) as worker:
-            with pytest.raises(NumericalError, match="first"):
-                completion._map(fn, 6, worker)
-            assert finished == [1]
+        with pytest.raises(NumericalError, match="first"):
+            completion._map(fn, 6, True)
+        assert finished == [1]
         assert sorted(calls) == [0, 1]
 
     def test_map_raises_an_error_of_either_thread(self):
@@ -547,9 +559,8 @@ class TestTwoWide:
                 raise DataError("late")
             return i
 
-        with concurrent.futures.ThreadPoolExecutor(1) as worker:
-            with pytest.raises(DataError, match="late"):
-                completion._map(fn, 6, worker)
+        with pytest.raises(DataError, match="late"):
+            completion._map(fn, 6, True)
 
 
 class TestConfigValidation:

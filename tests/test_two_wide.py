@@ -1,7 +1,7 @@
-"""The shrink step with its worker thread forced on and forced off, whatever
+"""The shrink step with its helper thread forced on and forced off, whatever
 the machine's cores and BLAS settings: the bit-identity tests and the memory
 bounds run again on both paths, with the overflow, concurrency and fork cases
-of the worker."""
+of the helper."""
 
 import multiprocessing
 import os
@@ -45,7 +45,7 @@ class TestMemoryBounds:
 
 def test_worker_follows_the_forced_rule(two_wide):
     shrink = completion._RankAdaptiveShrink(1.0, 8, 8)
-    assert (shrink.worker is not None) == two_wide
+    assert shrink.two_wide is two_wide
 
 
 @pytest.mark.parametrize("action", ["error", "always"])
@@ -78,10 +78,39 @@ def small_solve(seed):
     return completion.complete(y, mask, completion.AdmmConfig(rho=0.05, max_iter=40))
 
 
+def helpers():
+    return sum(thread.name.startswith("tsvdkit-shrink") for thread in threading.enumerate())
+
+
+def test_no_helper_outlives_the_solve():
+    small_solve(0)
+    assert helpers() == 0
+
+
+def test_concurrent_solves_run_one_helper_at_a_time(monkeypatch, two_wide):
+    """Sampled inside every slice SVD of four concurrent solves, the helper
+    threads alive number one at most, and one at some point when forced on."""
+    svd_slices = transforms.svd_slices
+    seen = []
+
+    def counting_svd_slices(*args, **kwargs):
+        seen.append(helpers())
+        return svd_slices(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "svd_slices", counting_svd_slices)
+    threads = [threading.Thread(target=small_solve, args=(seed,)) for seed in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert max(seen) == (1 if two_wide else 0)
+
+
 def test_concurrent_solves_share_the_worker():
-    """Four solves on four threads share the one worker; with a short switch
-    interval, a batch written by the wrong thread or out of order would
-    change the bytes."""
+    """Four solves on four threads share one helper at a time; with a short
+    switch interval, a batch written by the wrong thread or out of order
+    would change the bytes."""
     expected = [small_solve(seed)[0].tobytes() for seed in range(4)]
     got = [None] * 4
 
@@ -111,7 +140,7 @@ def solve_in_child():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
 def test_solve_in_forked_child():
-    small_solve(2)  # the parent's worker thread, if any, now exists
+    small_solve(2)  # the parent has run the shrink step first
     child = multiprocessing.get_context("fork").Process(target=solve_in_child)
     child.start()
     child.join(timeout=30)
