@@ -15,12 +15,12 @@ from . import transforms
 from .errors import DataError, DimensionError
 
 
-def check_tensor(a, min_order: int = 3, name: str = "tensor") -> np.ndarray:
-    """Validate an ingested array: real float64, order >= ``min_order``,
-    positive extents, finite entries."""
+def check_tensor(a, name: str = "tensor") -> np.ndarray:
+    """Validate an ingested array: real float64, order >= 3, positive
+    extents, finite entries."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim < min_order:
-        raise DimensionError(f"{name} must have order >= {min_order}, got order {arr.ndim}")
+    if arr.ndim < 3:
+        raise DimensionError(f"{name} must have order >= 3, got order {arr.ndim}")
     if min(arr.shape, default=0) < 1:
         raise DimensionError(f"{name} has a zero extent: {arr.shape}")
     if not np.isfinite(arr).all():

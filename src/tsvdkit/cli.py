@@ -90,32 +90,14 @@ def _emit_metrics(record: dict, path: str | None) -> None:
             handle.write(text)
 
 
-def _metrics(command: str, dims, parameters: dict, results: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "dims": list(int(d) for d in dims),
-        "parameters": parameters,
-        "results": results,
-        "wall_time_s": time.perf_counter() - started,
-    }
+# Each command returns (dims, parameters, results); main() times it and wraps
+# them in the metrics record.
 
-
-def _cmd_gen(args) -> dict:
-    started = time.perf_counter()
+def _cmd_gen(args):
     dims = _parse_dims(args.dims)
     tensor = random_low_tubal_rank(dims, args.rank, args.seed)
     fileio.write_tensor(args.out, tensor)
-    return _metrics(
-        "gen",
-        dims,
-        {"rank": args.rank, "seed": args.seed},
-        {"out": args.out, "frobenius": frobenius(tensor)},
-        started,
-    )
-
-
-def _method_name(flag: str) -> str:
-    return flag.replace("-", "_")
+    return dims, {"rank": args.rank, "seed": args.seed}, {"out": args.out, "frobenius": frobenius(tensor)}
 
 
 def _compress_record(result: compression.CompressionResult) -> dict:
@@ -128,10 +110,9 @@ def _compress_record(result: compression.CompressionResult) -> dict:
     }
 
 
-def _cmd_compress(args) -> dict:
-    started = time.perf_counter()
+def _cmd_compress(args):
     tensor = fileio.read_tensor(args.input)
-    method = _method_name(args.method)
+    method = args.method.replace("-", "_")
     if args.k_list is not None:
         if args.out or args.save_compressed:
             raise DataError("--out/--save-compressed are not valid in sweep mode")
@@ -153,7 +134,7 @@ def _cmd_compress(args) -> dict:
         results = _compress_record(result)
         results["out"] = args.out
         params = {"method": method, "k": k, "target_ratio": args.target_ratio}
-    return _metrics("compress", tensor.shape, params, results, started)
+    return tensor.shape, params, results
 
 
 def _resolve_mask(args, dims) -> SamplingOperator:
@@ -171,8 +152,7 @@ def _resolve_mask(args, dims) -> SamplingOperator:
     return SamplingOperator.bernoulli(dims, args.sample_rate, args.seed)
 
 
-def _cmd_complete(args) -> dict:
-    started = time.perf_counter()
+def _cmd_complete(args):
     tensor = fileio.read_tensor(args.input)
     sampler = _resolve_mask(args, tensor.shape)
     observed = sampler.apply(tensor)
@@ -206,27 +186,19 @@ def _cmd_complete(args) -> dict:
         "sample_rate": args.sample_rate,
         "seed": args.seed,
     }
-    return _metrics("complete", tensor.shape, params, results, started)
+    return tensor.shape, params, results
 
 
-def _cmd_info(args) -> dict:
-    started = time.perf_counter()
+def _cmd_info(args):
     tensor = fileio.read_tensor(args.input)
     results = {**rank_measures(tensor, args.tol), "frobenius": frobenius(tensor)}
-    return _metrics("info", tensor.shape, {"tol": args.tol}, results, started)
+    return tensor.shape, {"tol": args.tol}, results
 
 
-def _cmd_import_pgm(args) -> dict:
-    started = time.perf_counter()
+def _cmd_import_pgm(args):
     tensor = fileio.read_pgm_stack(args.directory)
     fileio.write_tensor(args.out, tensor)
-    return _metrics(
-        "import-pgm",
-        tensor.shape,
-        {"directory": args.directory},
-        {"out": args.out, "frames": tensor.shape[2]},
-        started,
-    )
+    return tensor.shape, {"directory": args.directory}, {"out": args.out, "frames": tensor.shape[2]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,16 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tensor-SVD toolbox: synthesis, compression, completion, rank measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--metrics", help="write the metrics JSON here instead of to stdout")
 
-    gen = sub.add_parser("gen", help="write a seeded synthetic low-tubal-rank tensor")
+    gen = sub.add_parser("gen", parents=[common], help="write a seeded synthetic low-tubal-rank tensor")
     gen.add_argument("dims", help="extents, e.g. 30x30x10 (order >= 3)")
     gen.add_argument("--rank", type=int, required=True, help="target tubal rank")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--metrics")
     gen.set_defaults(func=_cmd_gen)
 
-    comp = sub.add_parser("compress", help="run one compression scheme")
+    comp = sub.add_parser("compress", parents=[common], help="run one compression scheme")
     comp.add_argument("input")
     comp.add_argument("--method", required=True, choices=["svd", "tsvd", "tsvd-tubal"])
     pick = comp.add_mutually_exclusive_group(required=True)
@@ -253,10 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     pick.add_argument("--target-ratio", type=float)
     comp.add_argument("--out", help="write the reconstruction as a tensor file")
     comp.add_argument("--save-compressed", help="write the retained factors (TSC1)")
-    comp.add_argument("--metrics")
     comp.set_defaults(func=_cmd_compress)
 
-    compl = sub.add_parser("complete", help="recover missing entries by ADMM")
+    compl = sub.add_parser("complete", parents=[common], help="recover missing entries by ADMM")
     compl.add_argument("input")
     mask = compl.add_mutually_exclusive_group()
     mask.add_argument("--mask", help="{0,1} tensor file")
@@ -269,19 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     compl.add_argument("--positivity", action="store_true")
     compl.add_argument("--truth", help="ground-truth tensor file for RSE reporting")
     compl.add_argument("--out", help="write the recovered tensor")
-    compl.add_argument("--metrics")
     compl.set_defaults(func=_cmd_complete)
 
-    info = sub.add_parser("info", help="rank measures and norms of a tensor file")
+    info = sub.add_parser("info", parents=[common], help="rank measures and norms of a tensor file")
     info.add_argument("input")
     info.add_argument("--tol", type=float, default=1e-8)
-    info.add_argument("--metrics")
     info.set_defaults(func=_cmd_info)
 
-    imp = sub.add_parser("import-pgm", help="stack plain PGM frames into a tensor file")
+    imp = sub.add_parser("import-pgm", parents=[common], help="stack plain PGM frames into a tensor file")
     imp.add_argument("directory")
     imp.add_argument("--out", required=True)
-    imp.add_argument("--metrics")
     imp.set_defaults(func=_cmd_import_pgm)
 
     return parser
@@ -291,7 +260,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        record = args.func(args)
+        started = time.perf_counter()
+        dims, parameters, results = args.func(args)
+        record = {
+            "command": args.command,
+            "dims": [int(d) for d in dims],
+            "parameters": parameters,
+            "results": results,
+            "wall_time_s": time.perf_counter() - started,
+        }
         _emit_metrics(record, args.metrics)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,11 +218,12 @@ def _tsvd_step(m):
 def _tsvd_tubal_step(m):
     """Keep the first k singular tubes (tensor-SVD truncation)."""
     factors = t_svd(m)
+    u, v = factors.u, factors.v
     # The diagonal tubes of factors.s, without the dense n1 x n2 x n3 tensor.
     tubes = transforms.ifft_stack(factors.sig_hat[:, None, :], m.shape[2:])[0]
 
     def step(k):
-        return [np.ascontiguousarray(a) for a in (factors.u[:, :k, :], tubes[:k], factors.v[:, :k, :])], []
+        return [np.ascontiguousarray(a) for a in (u[:, :k, :], tubes[:k], v[:, :k, :])], []
 
     return step
 

@@ -20,14 +20,12 @@ from .errors import DimensionError
 
 @dataclass(frozen=True)
 class TSvdFactors:
-    """Factors of a tensor SVD.
+    """Factors of a tensor SVD, held once, in spectral form.
 
     Attributes
     ----------
-    u : ndarray, shape (n1, n1, n3, ...)
-        Left orthogonal factor.
-    v : ndarray, shape (n2, n2, n3, ...)
-        Right orthogonal factor (not transposed).
+    dims : tuple of int
+        Extents ``(n1, n2, n3, ...)`` of the factored tensor.
     u_hat, v_hat : ndarray, complex, shapes (slices, n1, n1) and (slices, n2, n2)
         Spectral ``u`` and ``v`` on the stored slices of the half spectrum,
         slice index first (:func:`tsvdkit.transforms.to_stack`).
@@ -35,15 +33,22 @@ class TSvdFactors:
         Singular values of every stored slice, nonincreasing along each row.
     """
 
-    u: np.ndarray
-    v: np.ndarray
+    dims: tuple[int, ...]
     u_hat: np.ndarray = field(repr=False)
     sig_hat: np.ndarray = field(repr=False)
     v_hat: np.ndarray = field(repr=False)
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.u.shape[:1] + self.v.shape[:1] + self.u.shape[2:]
+    def u(self) -> np.ndarray:
+        """Left orthogonal factor, shape ``(n1, n1, n3, ...)``; built from
+        ``u_hat`` on each access."""
+        return transforms.ifft_stack(self.u_hat, self.dims[2:])
+
+    @property
+    def v(self) -> np.ndarray:
+        """Right orthogonal factor (not transposed), shape
+        ``(n2, n2, n3, ...)``; built from ``v_hat`` on each access."""
+        return transforms.ifft_stack(self.v_hat, self.dims[2:])
 
     @property
     def s(self) -> np.ndarray:
@@ -81,7 +86,8 @@ def t_svd(m) -> TSvdFactors:
     """Factor a real tensor of order >= 3 into orthogonal-by-f-diagonal form.
 
     One matrix SVD is computed per stored spectral slice, in one batched
-    call; a zero slice yields identity factors.
+    call; a zero slice yields identity factors.  The factors stay spectral:
+    no inverse transform runs until ``u``, ``v`` or ``s`` is read.
 
     Raises
     ------
@@ -90,14 +96,11 @@ def t_svd(m) -> TSvdFactors:
         converge.
     """
     m = check_tensor(m, name="t_svd input")
-    trailing = m.shape[2:]
     u_hat, sig_hat, vh_hat = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)))
     v_hat = vh_hat.conj().swapaxes(1, 2)
-    u = transforms.ifft_stack(u_hat, trailing)
-    v = transforms.ifft_stack(v_hat, trailing)
-    for arr in (u, v, u_hat, sig_hat, v_hat):
+    for arr in (u_hat, sig_hat, v_hat):
         arr.setflags(write=False)
-    return TSvdFactors(u=u, v=v, u_hat=u_hat, sig_hat=sig_hat, v_hat=v_hat)
+    return TSvdFactors(dims=m.shape, u_hat=u_hat, sig_hat=sig_hat, v_hat=v_hat)
 
 
 def truncate(factors: TSvdFactors, k: int) -> np.ndarray:

@@ -252,6 +252,10 @@ def read_pgm_stack(directory) -> np.ndarray:
 
 def compressed_to_bytes(result: CompressionResult, dims) -> bytes:
     dims = tuple(int(d) for d in dims)
+    if dims != result.reconstruction.shape:
+        raise DimensionError(
+            f"TSC1 dims {dims} do not match the compressed tensor's {result.reconstruction.shape}"
+        )
     scalars = (np.concatenate([b.ravel(order="F") for b in result.payload])
                if result.payload else np.empty(0))
     head = COMPRESSED_MAGIC + struct.pack(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,37 @@ class TestTSvd:
         f = decomposition.t_svd(rng.standard_normal((6, 5, 5)))
         for arr in (f.u, f.s, f.v):
             assert arr.dtype == np.float64
+
+    def test_factors_stay_spectral(self, monkeypatch):
+        calls = []
+        inverse = transforms.ifft_mode3
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "ifft_mode3", counted)
+        m = np.random.default_rng(15).standard_normal((6, 5, 4))
+        factors = decomposition.t_svd(m)
+        assert calls == []
+        assert factors.dims == m.shape
+        assert factors.u.shape == (6, 6, 4) and factors.v.shape == (5, 5, 4)
+        assert len(calls) == 2
+
+    def test_result_holds_one_copy_of_the_factors(self):
+        m = np.random.default_rng(16).standard_normal((40, 40, 20))
+        tracemalloc.start()
+        try:
+            factors = decomposition.t_svd(m)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert factors.dims == m.shape
+        assert held <= 2.5 * m.nbytes
+
+    def test_repr_holds_no_array(self):
+        factors = decomposition.t_svd(np.random.default_rng(17).standard_normal((4, 3, 5)))
+        assert repr(factors) == "TSvdFactors(dims=(4, 3, 5))"
 
     def test_single_slice_degenerates_to_matrix_svd(self):
         rng = np.random.default_rng(14)

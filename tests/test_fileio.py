@@ -447,6 +447,17 @@ class TestCompressedFile:
         rebuilt = compression.decode_payload(got_method, got_dims, got_k, scalars, meta)
         assert np.allclose(rebuilt, result.reconstruction, atol=1e-10)
 
+    @pytest.mark.parametrize("method,k", [("svd", 2), ("tsvd", 5), ("tsvd_tubal", 3)])
+    def test_write_rejects_dims_of_another_tensor(self, tmp_path, method, k):
+        # Swapped extents fit the scalar count of every method, so only the
+        # writer can tell that the header would describe another tensor.
+        m = np.random.default_rng(5).standard_normal((6, 5, 8))
+        result = compression.compress(m, method, k)
+        path = tmp_path / "c.tsc"
+        with pytest.raises(DimensionError, match="do not match"):
+            fileio.write_compressed(path, result, (5, 6, 8))
+        assert not path.exists()
+
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             fileio.compressed_from_bytes(b"XXXX" + bytes(30))
