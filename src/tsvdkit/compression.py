@@ -1,25 +1,28 @@
 """Truncation-based compression schemes with closed-form storage ratios.
 
-Three schemes over an ``n1 x n2 x n3`` tensor:
+Three schemes over an ``n1 x n2 x n3 x ... x nN`` tensor (N >= 3), where
+``P = n3 * ... * nN`` (the order-p t-SVD of Martin, Shafer and LaRue, 2013):
 
 * ``svd``: vectorize each frontal slice into a column of an
-  ``(n1*n2) x n3`` matrix and keep a rank-``k1`` truncated SVD;
-  ratio ``n1*n2*n3 / (k1*(n1*n2 + n3 + 1))``.
+  ``(n1*n2) x P`` matrix and keep a rank-``k1`` truncated SVD;
+  ratio ``n1*n2*P / (k1*(n1*n2 + P + 1))``.
 * ``tsvd``: keep the ``k2`` largest spectral f-diagonal entries globally
   across slices, zeroing the matching left/right spectral columns;
-  ratio ``n1*n2*n3 / (k2*(n1 + n2 + 1))``.
+  ratio ``n1*n2*P / (k2*(n1 + n2 + 1))``.
 * ``tsvd_tubal``: keep the first ``k3`` singular tubes (tensor-SVD
   truncation); ratio ``n1*n2 / (k3*(n1 + n2 + 1))``.
 
 Every scheme serializes to exactly as many retained scalars as its ratio
 denominator counts.  For ``tsvd`` this is achieved with uniform
 ``(1 + n1 + n2)``-real records over the stored half spectrum: an entry of a
-real slice (0 and, for even n3, n3/2) stores its real columns directly (one
-``SELF`` record), an entry of a complex slice stands for itself and its
-conjugate and stores real/imaginary column parts across two records (the
-pair is kept or dropped together, so reconstructions stay real), and a
-budget remainder of one slot stores the best real rank-1 summary of the
-leading remaining candidate.
+real slice stores its real columns directly (one ``SELF`` record), an entry
+of a complex slice stands for itself and its conjugate and stores
+real/imaginary column parts across two records (the pair is kept or dropped
+together, so reconstructions stay real), and a budget remainder of one slot
+stores the best real rank-1 summary of the leading remaining candidate.  At
+order >= 4 the stored half also holds mirrored slices, the conjugates of
+other stored slices (:func:`tsvdkit.transforms.mirrored_slices`); no record
+names one.
 """
 
 from __future__ import annotations
@@ -67,37 +70,38 @@ class CompressionResult:
         return int(sum(block.size for block in self.payload))
 
 
-def _check_method(method: str) -> str:
+# Per scheme, over (n1, n2, P): scalars stored per unit of k, and the largest k.
+_COSTS = {
+    "svd": lambda n1, n2, p: (n1 * n2 + p + 1, min(n1 * n2, p)),
+    "tsvd": lambda n1, n2, p: (n1 + n2 + 1, min(n1, n2) * p),
+    "tsvd_tubal": lambda n1, n2, p: ((n1 + n2 + 1) * p, min(n1, n2)),
+}
+
+
+def _costs(method: str, dims) -> tuple[int, int]:
+    dims = tuple(int(d) for d in dims)
     if method not in METHODS:
         raise InfeasibleError(f"unknown method {method!r}; expected one of {METHODS}")
-    return method
+    if len(dims) < 3:
+        raise DimensionError(f"compression requires order >= 3, got dims {dims}")
+    if min(dims) < 1:
+        raise DimensionError(f"extents must be >= 1, got {dims}")
+    return _COSTS[method](dims[0], dims[1], math.prod(dims[2:]))
 
 
 def k_max(method: str, dims) -> int:
     """Largest admissible retention parameter for the method and dims."""
-    n1, n2, n3 = _check_dims3(dims)
-    _check_method(method)
-    if method == "svd":
-        return min(n1 * n2, n3)
-    if method == "tsvd":
-        return min(n1, n2) * n3
-    return min(n1, n2)
+    return _costs(method, dims)[1]
 
 
 def ratio_for(method: str, dims, k: int) -> float:
     """Closed-form compression ratio for the given retention parameter."""
-    return math.prod(_check_dims3(dims)) / stored_count_for(method, dims, k)
+    return math.prod(int(d) for d in dims) / stored_count_for(method, dims, k)
 
 
 def stored_count_for(method: str, dims, k: int) -> int:
     """Retained scalar parameters implied by the ratio formula (unreduced)."""
-    n1, n2, n3 = _check_dims3(dims)
-    _check_k(method, dims, k)
-    if method == "svd":
-        return k * (n1 * n2 + n3 + 1)
-    if method == "tsvd":
-        return k * (n1 + n2 + 1)
-    return k * (n1 + n2 + 1) * n3
+    return k * _check_k(method, dims, k)
 
 
 def k_for_ratio(method: str, dims, target_ratio: float) -> int:
@@ -108,11 +112,10 @@ def k_for_ratio(method: str, dims, target_ratio: float) -> int:
     InfeasibleError
         If the target is below 1 or exceeds the ratio at ``k = 1``.
     """
-    _check_method(method)
-    _check_dims3(dims)
+    top = k_max(method, dims)
     if target_ratio < 1.0:
         raise InfeasibleError(f"target ratio must be >= 1, got {target_ratio}")
-    for k in range(k_max(method, dims), 0, -1):
+    for k in range(top, 0, -1):
         if ratio_for(method, dims, k) >= target_ratio:
             return k
     raise InfeasibleError(
@@ -121,19 +124,12 @@ def k_for_ratio(method: str, dims, target_ratio: float) -> int:
     )
 
 
-def _check_dims3(dims) -> tuple[int, int, int]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise DimensionError(f"compression supports order-3 tensors only, got dims {dims}")
-    if min(dims) < 1:
-        raise DimensionError(f"extents must be >= 1, got {dims}")
-    return dims
-
-
-def _check_k(method: str, dims, k: int) -> None:
-    top = k_max(method, dims)
+def _check_k(method: str, dims, k: int) -> int:
+    """Scalars stored per unit of k, once k is checked against its range."""
+    per_k, top = _costs(method, dims)
     if not 1 <= k <= top:
         raise InfeasibleError(f"k={k} outside [1, {top}] for method {method} on dims {tuple(dims)}")
+    return per_k
 
 
 def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
@@ -188,8 +184,7 @@ def _result(m, method: str, k: int, payload, meta, recon) -> CompressionResult:
 
 def _svd_step(m):
     """Rank-k truncated SVD of the slice-vectorized unfolding."""
-    n1, n2, n3 = m.shape
-    u, s, vh = np.linalg.svd(m.reshape(n1 * n2, n3, order="F"), full_matrices=False)
+    u, s, vh = np.linalg.svd(m.reshape(m.shape[0] * m.shape[1], -1, order="F"), full_matrices=False)
 
     def step(k):
         return [np.ascontiguousarray(a) for a in (u[:, :k], s[:k], vh[:k, :].T)], []
@@ -205,9 +200,10 @@ def _tsvd_step(m):
     """
     factors = t_svd(m)
     real = transforms.real_slices(m.shape[2:])
+    mirrored = transforms.mirrored_slices(m.shape[2:])
 
     def step(k):
-        records = _select_tsvd_records(factors.sig_hat, factors.u_hat, factors.v_hat, real, k)
+        records = _select_tsvd_records(factors.sig_hat, factors.u_hat, factors.v_hat, real, mirrored, k)
         payload = [np.concatenate(([scalar], u_part, v_part))
                    for _, _, _, scalar, u_part, v_part in records]
         return payload, [(kind, j, i) for kind, j, i, _, _, _ in records]
@@ -232,14 +228,15 @@ _FACTOR = {"svd": _svd_step, "tsvd": _tsvd_step, "tsvd_tubal": _tsvd_tubal_step}
 
 
 def _select_tsvd_records(sig: np.ndarray, u_hat: np.ndarray, v_hat: np.ndarray,
-                         real: np.ndarray, k2: int):
+                         real: np.ndarray, mirrored: np.ndarray, k2: int):
     """Pick the ``k2`` largest spectral f-diagonal entries, emitting one
     uniform record per budget unit.
 
-    ``sig`` is ``(slices, n0)`` over the stored half spectrum and ``real``
-    marks its real slices.  An entry of a real slice is one ``SELF`` record;
-    one of a complex slice stands for itself and its conjugate, and costs a
-    ``PAIR_RE``/``PAIR_IM`` record pair.  Records are ``(kind, slice, diag,
+    ``sig`` is ``(slices, n0)`` over the stored half spectrum, ``real``
+    marks its real slices and ``mirrored`` those that are the conjugate of
+    another stored slice, which are never selected.  An entry of a real
+    slice is one ``SELF`` record; one of a complex slice stands for itself
+    and its conjugate, and costs a ``PAIR_RE``/``PAIR_IM`` record pair.  Records are ``(kind, slice, diag,
     scalar, u_part, v_part)`` with ``u_part``/``v_part`` real vectors of
     lengths n1/n2.  A remainder slot is filled by whichever captures more
     energy: the best real rank-1 summary of the straddled pair, or the
@@ -247,7 +244,7 @@ def _select_tsvd_records(sig: np.ndarray, u_hat: np.ndarray, v_hat: np.ndarray,
     """
     rho, n0 = sig.shape
     order = sorted(
-        ((i, j) for i in range(n0) for j in range(rho)),
+        ((i, j) for i in range(n0) for j in range(rho) if not mirrored[j]),
         key=lambda ij: (-sig[ij[1], ij[0]], ij[1], ij[0]),
     )
 
@@ -293,11 +290,12 @@ def _decode_tsvd_records(records, dims) -> np.ndarray:
     ------
     FormatError
         If a record has an unknown kind, an out-of-range ``(slice, diag)``,
-        a kind that does not fit its slice (``SELF`` only on real slices), or
-        a pair half without its other half.
+        a kind that does not fit its slice (``SELF`` only on real slices), a
+        mirrored slice, or a pair half without its other half.
     """
-    n1, n2, n3 = dims
-    real = transforms.real_slices((n3,))
+    n1, n2 = dims[:2]
+    real = transforms.real_slices(dims[2:])
+    mirrored = transforms.mirrored_slices(dims[2:])
     stack = np.zeros((real.size, n1, n2), dtype=np.complex128)
     pending = {}
     for kind, j, i, scalar, u_part, v_part in records:
@@ -305,6 +303,8 @@ def _decode_tsvd_records(records, dims) -> np.ndarray:
             raise FormatError(f"unknown tsvd record kind {kind}")
         if not (j < real.size and i < min(n1, n2)):
             raise FormatError(f"tsvd record (slice {j}, diag {i}) out of range for dims {dims}")
+        if mirrored[j]:
+            raise FormatError(f"tsvd record on slice {j}, the conjugate of another stored slice")
         if (kind == SELF) != real[j]:
             raise FormatError(
                 f"tsvd record kind {kind} does not fit {'real' if real[j] else 'complex'} slice {j}"
@@ -326,7 +326,7 @@ def _decode_tsvd_records(records, dims) -> np.ndarray:
             stack[j] += scalar * np.outer(u, v.conj())
     if pending:
         raise FormatError("unpaired pair-record in tsvd payload")
-    return transforms.ifft_stack(stack, (n3,))
+    return transforms.ifft_stack(stack, dims[2:])
 
 
 def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
@@ -342,8 +342,7 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
         If the reconstruction is not finite: the scalars overflowed when
         multiplied out, or were not finite to begin with.
     """
-    _check_method(method)
-    dims = _check_dims3(dims)
+    dims = tuple(int(d) for d in dims)
     expected = stored_count_for(method, dims, k)
     if scalars.size != expected:
         raise DimensionError(f"payload holds {scalars.size} scalars, expected {expected}")
@@ -356,12 +355,13 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
 
 def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
     """What :func:`decode_payload` returns, before its finiteness check."""
-    n1, n2, n3 = dims
+    n1, n2, trailing = dims[0], dims[1], dims[2:]
+    p = math.prod(trailing)
     if method == "svd":
         u = scalars[: n1 * n2 * k].reshape(n1 * n2, k, order="F")
         s = scalars[n1 * n2 * k: n1 * n2 * k + k]
-        v = scalars[n1 * n2 * k + k:].reshape(n3, k, order="F")
-        return ((u * s) @ v.T).reshape(n1, n2, n3, order="F")
+        v = scalars[n1 * n2 * k + k:].reshape(p, k, order="F")
+        return ((u * s) @ v.T).reshape(dims, order="F")
     if method == "tsvd":
         if len(meta) != k:
             raise DimensionError(f"tsvd payload carries {len(meta)} records, expected {k}")
@@ -370,10 +370,10 @@ def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
         for unit, (kind, j, i) in enumerate(meta):
             row = scalars[unit * width: (unit + 1) * width]
             records.append((kind, j, i, float(row[0]), row[1: 1 + n1], row[1 + n1:]))
-        return _decode_tsvd_records(records, (n1, n2, n3))
-    u = scalars[: n1 * k * n3].reshape(n1, k, n3, order="F")
-    tubes = scalars[n1 * k * n3: n1 * k * n3 + k * n3].reshape(k, n3, order="F")
-    v = scalars[n1 * k * n3 + k * n3:].reshape(n2, k, n3, order="F")
+        return _decode_tsvd_records(records, dims)
+    u = scalars[: n1 * k * p].reshape((n1, k) + trailing, order="F")
+    tubes = scalars[n1 * k * p: n1 * k * p + k * p].reshape((k,) + trailing, order="F")
+    v = scalars[n1 * k * p + k * p:].reshape((n2, k) + trailing, order="F")
     u_hat, tubes_hat, v_hat = (transforms.to_stack(transforms.fft_mode3(a)) for a in (u, tubes[None], v))
     c_hat = (u_hat * tubes_hat) @ v_hat.conj().swapaxes(1, 2)
-    return transforms.ifft_stack(c_hat, (n3,))
+    return transforms.ifft_stack(c_hat, trailing)

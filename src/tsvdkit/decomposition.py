@@ -18,9 +18,10 @@ from .algebra import check_tensor
 from .errors import DimensionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TSvdFactors:
-    """Factors of a tensor SVD, held once, in spectral form.
+    """Factors of a tensor SVD, held once, in spectral form.  Compared by
+    identity, as arrays have no single truth value.
 
     Attributes
     ----------

@@ -6,10 +6,12 @@ float64 in first-index-fastest (column-major) order.  Masks reuse the format
 with a {0, 1} payload.
 
 Compressed file (``TSC1``): magic ``b"TSC1"``, method byte (1=svd, 2=tsvd,
-3=tsvd_tubal), order byte, extents as uint64, uint64 k, uint64 record count
-(tsvd only, else 0), uint64 retained-scalar count, the scalar block as
-float64, then for tsvd one ``(uint8 kind, uint32 slice, uint32 diag)`` triple
-per record.
+3=tsvd_tubal), order byte N >= 3, N extents as uint64, uint64 k, uint64
+record count (tsvd only, else 0), uint64 retained-scalar count (a header of
+6 + 8*N + 24 bytes), the scalar block as float64, then for tsvd one
+``(uint8 kind, uint32 slice, uint32 diag)`` triple per record.  ``slice``
+indexes the stored half spectrum (:mod:`tsvdkit.transforms`) and never names
+a mirrored slice, one that is the conjugate of another stored slice.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ TENSOR_MAGIC = b"TSR1"
 COMPRESSED_MAGIC = b"TSC1"
 _METHOD_TAGS = {"svd": 1, "tsvd": 2, "tsvd_tubal": 3}
 _TAG_METHODS = {tag: name for name, tag in _METHOD_TAGS.items()}
-# Magic, method and order bytes, three extents, k and the two counts.
-_COMPRESSED_HEADER = 6 + 8 * 3 + 24
 
 
 def _tensor_parts(a) -> tuple[bytes, np.ndarray]:
@@ -280,11 +280,12 @@ def compressed_from_bytes(data: bytes):
     tag, order = data[4], data[5]
     if tag not in _TAG_METHODS:
         raise FormatError(f"unknown method tag {tag}")
-    if order != 3:
-        raise FormatError(f"compressed tensors have order 3, got order {order}")
-    if len(data) < _COMPRESSED_HEADER:
+    if order < 3:
+        raise FormatError(f"compressed tensors have order >= 3, got order {order}")
+    header_end = 6 + 8 * order + 24
+    if len(data) < header_end:
         raise FormatError("truncated compressed header")
-    *dims, k, n_records, n_scalars = struct.unpack_from("<6Q", data, 6)
+    *dims, k, n_records, n_scalars = struct.unpack_from(f"<{order + 3}Q", data, 6)
     dims = tuple(dims)
     method = _TAG_METHODS[tag]
     try:
@@ -297,12 +298,12 @@ def compressed_from_bytes(data: bytes):
         )
     if n_records != (k if method == "tsvd" else 0):
         raise FormatError(f"record count {n_records} does not match method {method} with k={k}")
-    end = _COMPRESSED_HEADER + 8 * n_scalars
+    end = header_end + 8 * n_scalars
     if len(data) != end + 9 * n_records:
         raise FormatError(
             f"compressed file has {len(data)} bytes, its header declares {end + 9 * n_records}"
         )
-    scalars = np.frombuffer(data[_COMPRESSED_HEADER:end], dtype="<f8").astype(np.float64)
+    scalars = np.frombuffer(data[header_end:end], dtype="<f8").astype(np.float64)
     if not np.isfinite(scalars).all():
         raise FormatError("compressed file contains non-finite scalars")
     meta = list(struct.iter_unpack("<BII", data[end:]))

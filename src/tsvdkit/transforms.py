@@ -17,8 +17,8 @@ spectrum:
 * inside those planes, the slices whose every trailing index is 0 or ``n/2``
   are real (:func:`real_slices`), and the others come in conjugate pairs,
   both stored.  :func:`ifft_mode3` overwrites the higher-numbered member of
-  each pair with the conjugate of the lower one, so independently factored
-  pair members cannot break the symmetry.
+  each pair (:func:`mirrored_slices`) with the conjugate of the lower one, so
+  independently factored pair members cannot break the symmetry.
 
 Under this convention ``|a|_F^2 = sum_j w_j |a_hat_j|_F^2 / rho`` with ``w``
 the slice weights and ``rho`` the product of the trailing extents.
@@ -82,6 +82,14 @@ def real_slices(trailing_dims) -> np.ndarray:
     real = np.zeros(layout.in_plane.size, dtype=bool)
     real[layout.real] = True
     return real
+
+
+def mirrored_slices(trailing_dims) -> np.ndarray:
+    """Which stored slices :func:`ifft_mode3` overwrites with the conjugate of
+    a lower-numbered one: the higher member of each conjugate pair inside the
+    ``k_N in {0, n_N/2}`` planes (none at order 3)."""
+    layout = _layout(trailing_dims)
+    return np.isin(np.arange(layout.in_plane.size), layout.upper)
 
 
 def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:

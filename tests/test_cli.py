@@ -74,9 +74,21 @@ class TestOrder4Pipeline:
         assert record["results"]["tubal_rank"] == 2
         assert len(record["results"]["multi_rank"]) == 12
 
-    def test_compress_rejects_order4(self, tensor4_file, capsys):
-        code, _ = run(capsys, "compress", str(tensor4_file), "--method", "svd", "--k", "1")
-        assert code == 2
+    def test_compress_accepts_order4(self, tensor4_file, capsys, tmp_path):
+        # Over (n1, n2, P) = (8, 8, 12), as the order-3 formulas over n3.
+        for method, k, per_k in (("svd", 1, 8 * 8 + 12 + 1), ("tsvd", 5, 8 + 8 + 1),
+                                 ("tsvd-tubal", 1, (8 + 8 + 1) * 12)):
+            out, blob = tmp_path / f"{method}.tsr", tmp_path / f"{method}.tsc"
+            code, record = run(
+                capsys, "compress", str(tensor4_file), "--method", method, "--k", str(k),
+                "--out", str(out), "--save-compressed", str(blob),
+            )
+            assert code == 0
+            assert record["results"]["ratio"] == pytest.approx(8 * 8 * 12 / (k * per_k), rel=1e-12)
+            rebuilt = compression.decode_payload(*fileio.read_compressed(blob))
+            reconstruction = fileio.read_tensor(out)
+            assert rebuilt.shape == (8, 8, 4, 3)
+            assert np.linalg.norm(rebuilt - reconstruction) <= 1e-12 * np.linalg.norm(reconstruction)
 
 
 class TestCompressCommand:

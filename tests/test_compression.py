@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from tsvdkit import algebra, compression, decomposition, synthesis
+from tsvdkit import algebra, compression, decomposition, synthesis, transforms
 from tsvdkit.errors import FormatError, InfeasibleError, NumericalError
 
 
@@ -91,18 +94,23 @@ class TestCompressSvd:
 class TestCompressTsvd:
     def test_full_budget_is_exact(self):
         rng = np.random.default_rng(3)
-        m = rng.standard_normal((5, 4, 6))
-        result = compression.compress(m, "tsvd", 4 * 6)
-        assert np.array_equal(result.reconstruction, m)
-        assert result.rse_db == float("-inf")
+        for dims in ((5, 4, 6), (6, 5, 4, 3)):
+            m = rng.standard_normal(dims)
+            result = compression.compress(m, "tsvd", min(dims[:2]) * math.prod(dims[2:]))
+            assert np.array_equal(result.reconstruction, m)
+            assert result.rse_db == float("-inf")
 
     def test_stored_scalars_for_every_budget(self):
         rng = np.random.default_rng(4)
-        m = rng.standard_normal((5, 4, 6))
-        for k2 in range(1, 4 * 6 + 1):
-            result = compression.compress(m, "tsvd", k2)
-            assert result.stored_scalars == k2 * (5 + 4 + 1)
-            assert len(result.meta) == k2
+        for dims in ((5, 4, 6), (6, 5, 4, 3)):
+            m = rng.standard_normal(dims)
+            n1, n2 = dims[:2]
+            mirrored = transforms.mirrored_slices(dims[2:])
+            for k2 in range(1, min(n1, n2) * math.prod(dims[2:]) + 1):
+                result = compression.compress(m, "tsvd", k2)
+                assert result.stored_scalars == k2 * (n1 + n2 + 1)
+                assert len(result.meta) == k2
+                assert not any(mirrored[j] for _, j, _ in result.meta)
 
     def test_rse_nonincreasing_in_budget(self):
         rng = np.random.default_rng(5)
@@ -119,11 +127,13 @@ class TestCompressTsvd:
             assert np.isfinite(result.reconstruction).all()
 
     def test_beats_tubal_at_matched_budget(self):
-        for seed in range(5):
-            m = synthesis.random_low_tubal_rank((8, 7, 5), 4, seed=seed)
-            m += 0.05 * np.random.default_rng(100 + seed).standard_normal((8, 7, 5))
+        # tsvd at budget P*k3 can store what tubal truncation at k3 keeps.
+        # At order 4 this fails if a mirrored slice takes part of the budget.
+        for dims, seed in itertools.product(((8, 7, 5), (8, 7, 4, 3)), range(5)):
+            m = synthesis.random_low_tubal_rank(dims, 4, seed=seed)
+            m += 0.05 * np.random.default_rng(100 + seed).standard_normal(dims)
             for k3 in (1, 2, 3):
-                spectral = compression.compress(m, "tsvd", 5 * k3).rse_db
+                spectral = compression.compress(m, "tsvd", math.prod(dims[2:]) * k3).rse_db
                 tubal = compression.compress(m, "tsvd_tubal", k3).rse_db
                 assert spectral <= tubal + 1e-9
 
@@ -215,13 +225,14 @@ class TestDecodePayload:
     )
     def test_payload_rebuilds_reconstruction(self, method, k):
         """Below k_max the reconstruction is the decode of its own payload,
-        to the last bit."""
+        to the last bit, at orders 3 and 4."""
         rng = np.random.default_rng(10)
-        m = rng.standard_normal((6, 5, 4))
-        result = compression.compress(m, method, k)
-        scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
-        rebuilt = compression.decode_payload(method, m.shape, k, scalars, result.meta)
-        assert rebuilt.tobytes() == result.reconstruction.tobytes()
+        for dims in ((6, 5, 4), (6, 5, 4, 3)):
+            m = rng.standard_normal(dims)
+            result = compression.compress(m, method, k)
+            scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
+            rebuilt = compression.decode_payload(method, m.shape, k, scalars, result.meta)
+            assert rebuilt.tobytes() == result.reconstruction.tobytes()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method,k", [("svd", 3), ("tsvd", 7), ("tsvd_tubal", 2)])
@@ -269,6 +280,17 @@ class TestTsvdRecordValidation:
         meta = [record] + list(self.result.meta[1:])
         with pytest.raises(FormatError):
             self.decode(meta)
+
+    def test_record_on_mirrored_slice_rejected(self):
+        """In a 4x3x4x3 tensor, stored slice 3 (trailing index (3, 0)) is the
+        conjugate of slice 1 (trailing index (1, 0)), so no record names it."""
+        m = np.random.default_rng(13).standard_normal((4, 3, 4, 3))
+        assert np.flatnonzero(transforms.mirrored_slices(m.shape[2:])).tolist() == [3]
+        result = compression.compress(m, "tsvd", 6)
+        scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
+        meta = [(compression.PAIR_RE, 3, 0), (compression.PAIR_IM, 3, 0)] + list(result.meta[2:])
+        with pytest.raises(FormatError, match="conjugate of another stored slice"):
+            compression.decode_payload("tsvd", m.shape, 6, scalars, meta)
 
 
 def test_monotone_rse_in_retained_parameters():

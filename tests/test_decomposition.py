@@ -112,6 +112,13 @@ class TestTSvd:
         assert factors.dims == m.shape
         assert held <= 2.5 * m.nbytes
 
+    def test_factors_compare_by_identity(self):
+        m = np.random.default_rng(18).standard_normal((4, 3, 5))
+        first, second = decomposition.t_svd(m), decomposition.t_svd(m)
+        assert first == first
+        assert first != second
+        assert len({first, second}) == 2
+
     def test_repr_holds_no_array(self):
         factors = decomposition.t_svd(np.random.default_rng(17).standard_normal((4, 3, 5)))
         assert repr(factors) == "TSvdFactors(dims=(4, 3, 5))"

@@ -436,16 +436,20 @@ class TestCompressedFile:
     @pytest.mark.parametrize("method,k", [("svd", 2), ("tsvd", 5), ("tsvd_tubal", 3)])
     def test_round_trip(self, tmp_path, method, k):
         rng = np.random.default_rng(3)
-        m = rng.standard_normal((5, 4, 6))
-        result = compression.compress(m, method, k)
-        path = tmp_path / "c.tsc"
-        fileio.write_compressed(path, result, m.shape)
-        got_method, got_dims, got_k, scalars, meta = fileio.read_compressed(path)
-        assert (got_method, got_dims, got_k) == (method, (5, 4, 6), k)
-        assert scalars.size == result.stored_scalars
-        assert meta == result.meta
-        rebuilt = compression.decode_payload(got_method, got_dims, got_k, scalars, meta)
-        assert np.allclose(rebuilt, result.reconstruction, atol=1e-10)
+        for dims in ((5, 4, 6), (5, 4, 3, 2)):
+            m = rng.standard_normal(dims)
+            result = compression.compress(m, method, k)
+            path = tmp_path / "c.tsc"
+            fileio.write_compressed(path, result, m.shape)
+            # The header holds 6 + 8*N + 24 bytes for an order-N tensor.
+            header = 6 + 8 * len(dims) + 24
+            assert path.stat().st_size == header + 8 * result.stored_scalars + 9 * len(result.meta)
+            got_method, got_dims, got_k, scalars, meta = fileio.read_compressed(path)
+            assert (got_method, got_dims, got_k) == (method, dims, k)
+            assert scalars.size == result.stored_scalars
+            assert meta == result.meta
+            rebuilt = compression.decode_payload(got_method, got_dims, got_k, scalars, meta)
+            assert np.allclose(rebuilt, result.reconstruction, atol=1e-10)
 
     @pytest.mark.parametrize("method,k", [("svd", 2), ("tsvd", 5), ("tsvd_tubal", 3)])
     def test_write_rejects_dims_of_another_tensor(self, tmp_path, method, k):
@@ -480,13 +484,14 @@ class TestCompressedFile:
             ("svd", 2, lambda blob: blob + bytes(1)),
             ("svd", 2, lambda blob: with_field(blob, K_AT, 0)),
             ("tsvd_tubal", 2, lambda blob: with_field(blob, K_AT, 5)),
-            ("svd", 2, lambda blob: blob[:5] + bytes([4]) + blob[6:] + bytes(8)),
+            # A well-formed header of two extents, 5 and 4.
+            ("svd", 2, lambda blob: blob[:5] + bytes([2]) + blob[6:22] + blob[30:]),
             ("svd", 2, lambda blob: with_field(blob, 6, 0)),
             ("tsvd", 5, lambda blob: with_field(blob, RECORDS_AT, 4)[:-9]),
             ("svd", 2, lambda blob: with_field(blob, RECORDS_AT, 1) + bytes(9)),
         ],
         ids=["truncated-header", "truncated-scalar-block", "truncated-record-table",
-             "trailing-bytes", "k-zero", "k-above-max", "order-4", "zero-extent",
+             "trailing-bytes", "k-zero", "k-above-max", "order-2", "zero-extent",
              "tsvd-record-count", "svd-record-count"],
     )
     def test_malformed_header_rejected(self, method, k, corrupt):

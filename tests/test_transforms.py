@@ -120,6 +120,23 @@ class TestHalfLayout:
         assert transforms.real_slices((6,)).tolist() == [True, False, False, True]
         assert transforms.slice_weights((5,)).tolist() == [1, 2, 2]
         assert transforms.real_slices((5,)).tolist() == [True, False, False]
+        assert not transforms.mirrored_slices((6,)).any()
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 3), (3, 2, 5, 4), (2, 3, 3, 2, 4)])
+    def test_mirrored_slices_are_conjugates_the_inverse_ignores(self, shape):
+        """A mirrored slice is the conjugate of a lower stored slice, and
+        overwriting it does not change the inverse transform."""
+        a = np.random.default_rng(3).standard_normal(shape)
+        a_hat = transforms.fft_mode3(a)
+        merged = transforms.merge_trailing(a_hat)
+        mirrored = transforms.mirrored_slices(shape[2:])
+        assert mirrored.any() and not (mirrored & transforms.real_slices(shape[2:])).any()
+        for j in np.flatnonzero(mirrored):
+            assert any(np.allclose(merged[:, :, j], merged[:, :, i].conj(), atol=1e-12) for i in range(j))
+        transforms.to_stack(a_hat)[mirrored] = 7.0
+        assert (transforms.merge_trailing(a_hat)[:, :, mirrored] == 7.0).all()
+        assert np.array_equal(transforms.ifft_mode3(a_hat, shape[2:]),
+                              transforms.ifft_mode3(transforms.fft_mode3(a), shape[2:]))
 
 
 
