@@ -2,9 +2,9 @@
 
 Tensors are plain ``numpy.ndarray`` objects of shape ``(n1, n2, n3, ...)``;
 frontal slices are ``a[:, :, k]`` and tubes are ``a[i, j, :]``.  The t-product
-treats a third-order tensor as an ``n1 x n2`` matrix of tubes and replaces
-scalar multiplication with circular convolution of tubes, which the production
-path evaluates as slice-wise matrix products in the spectral domain.
+treats a tensor as an ``n1 x n2`` matrix of tubes and replaces scalar
+multiplication with circular convolution of tubes, which the production path
+evaluates as slice-wise matrix products in the spectral domain.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ def check_tensor(a, name: str = "tensor") -> np.ndarray:
     """Validate an ingested array: real float64, order >= 3, positive
     extents, finite entries."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim < 3:
-        raise DimensionError(f"{name} must have order >= 3, got order {arr.ndim}")
-    if min(arr.shape, default=0) < 1:
-        raise DimensionError(f"{name} has a zero extent: {arr.shape}")
+    transforms.check_dims(arr.shape, name)
     if not np.isfinite(arr).all():
         raise DataError(f"{name} contains non-finite entries")
     return arr
@@ -40,9 +37,9 @@ def t_product(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim < 3 or b.ndim < 3:
-        raise DimensionError("t_product operands must have order >= 3")
-    if a.ndim != b.ndim or a.shape[2:] != b.shape[2:]:
+    transforms.check_dims(a.shape, "left operand")
+    transforms.check_dims(b.shape, "right operand")
+    if a.shape[2:] != b.shape[2:]:
         raise DimensionError(
             f"trailing extents differ: {a.shape[2:]} vs {b.shape[2:]}"
         )
@@ -56,26 +53,21 @@ def t_product(a, b) -> np.ndarray:
 
 
 def transpose(a) -> np.ndarray:
-    """Tensor transpose: transpose each frontal slice, then reverse the order
-    of slices 2 through n3.  Defined for order-3 tensors; an involution, and
+    """Tensor transpose: transpose each frontal slice and map trailing index
+    ``k`` to ``-k mod n`` along every trailing mode.  An involution, and
     ``transpose(t_product(a, b)) == t_product(transpose(b), transpose(a))``.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        raise DimensionError(f"transpose is defined for order 3, got order {a.ndim}")
-    out = np.empty((a.shape[1], a.shape[0], a.shape[2]))
-    out[:, :, 0] = a[:, :, 0].T
-    if a.shape[2] > 1:
-        out[:, :, 1:] = np.transpose(a[:, :, :0:-1], (1, 0, 2))
-    return out
+    transforms.check_dims(a.shape)
+    trailing = tuple(range(2, a.ndim))
+    return np.roll(np.flip(a.swapaxes(0, 1), trailing), 1, trailing)
 
 
-def identity(n1: int, n3: int) -> np.ndarray:
-    """Identity tensor: first frontal slice is I, all other slices zero."""
-    if n1 < 1 or n3 < 1:
-        raise DimensionError(f"identity extents must be >= 1, got ({n1}, {n3})")
-    out = np.zeros((n1, n1, n3))
-    out[:, :, 0] = np.eye(n1)
+def identity(n1: int, *trailing: int) -> np.ndarray:
+    """Identity tensor of shape ``(n1, n1, *trailing)``: I at trailing index
+    0, all other frontal slices zero."""
+    out = np.zeros(transforms.check_dims((n1, n1) + trailing, "identity"))
+    out[np.s_[:, :] + (0,) * len(trailing)] = np.eye(n1)
     return out
 
 
@@ -83,11 +75,10 @@ def is_orthogonal(q, tol: float = 1e-9) -> bool:
     """Whether ``q^T * q`` and ``q * q^T`` both equal the identity tensor to
     relative Frobenius tolerance ``tol``."""
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 3:
-        raise DimensionError(f"orthogonality check is defined for order 3, got order {q.ndim}")
+    transforms.check_dims(q.shape)
     if q.shape[0] != q.shape[1]:
         raise DimensionError(f"first two extents must be square, got {q.shape[:2]}")
-    eye = identity(q.shape[0], q.shape[2])
+    eye = identity(q.shape[0], *q.shape[2:])
     qt = transpose(q)
     scale = tol * frobenius(eye)
     return (

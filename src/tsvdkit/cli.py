@@ -36,7 +36,7 @@ from .errors import (
     TsvdkitError,
 )
 from .synthesis import random_low_tubal_rank
-from .transforms import SamplingOperator
+from .transforms import SamplingOperator, check_dims
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,9 +49,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(part) for part in text.lower().split("x"))
     except ValueError:
         raise DataError(f"cannot parse dims {text!r}; expected e.g. 30x30x10")
-    if len(dims) < 3 or min(dims) < 1:
-        raise DataError(f"dims must be >= 3 positive extents, got {text!r}")
-    return dims
+    return check_dims(dims, "dims")
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--metrics", help="write the metrics JSON here instead of to stdout")
 
     gen = sub.add_parser("gen", parents=[common], help="write a seeded synthetic low-tubal-rank tensor")
-    gen.add_argument("dims", help="extents, e.g. 30x30x10 (order >= 3)")
+    gen.add_argument("dims", help="three or more extents, e.g. 30x30x10")
     gen.add_argument("--rank", type=int, required=True, help="target tubal rank")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)

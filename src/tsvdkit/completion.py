@@ -380,8 +380,7 @@ def shrink_step(w_hat, tau: float) -> np.ndarray:
     the gain tube whose spectrum is ``(1 - tau/sigma)_+``.
     """
     w_hat = np.asarray(w_hat, dtype=np.complex128)
-    if w_hat.ndim < 3:
-        raise DimensionError(f"expected order >= 3, got order {w_hat.ndim}")
+    transforms.check_dims(w_hat.shape, "spectrum")
     if tau < 0:
         raise DataError(f"threshold must be nonnegative, got {tau}")
     stack = np.array(transforms.to_stack(w_hat), order="C")

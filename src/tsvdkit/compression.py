@@ -79,14 +79,10 @@ _COSTS = {
 
 
 def _costs(method: str, dims) -> tuple[int, int]:
-    dims = tuple(int(d) for d in dims)
     if method not in METHODS:
         raise InfeasibleError(f"unknown method {method!r}; expected one of {METHODS}")
-    if len(dims) < 3:
-        raise DimensionError(f"compression requires order >= 3, got dims {dims}")
-    if min(dims) < 1:
-        raise DimensionError(f"extents must be >= 1, got {dims}")
-    return _COSTS[method](dims[0], dims[1], math.prod(dims[2:]))
+    n1, n2, *trailing = transforms.check_dims(dims)
+    return _COSTS[method](n1, n2, math.prod(trailing))
 
 
 def k_max(method: str, dims) -> int:
@@ -110,18 +106,24 @@ def k_for_ratio(method: str, dims, target_ratio: float) -> int:
     Raises
     ------
     InfeasibleError
-        If the target is below 1 or exceeds the ratio at ``k = 1``.
+        If the target is below 1 or NaN, or exceeds the ratio at ``k = 1``.
     """
-    top = k_max(method, dims)
-    if target_ratio < 1.0:
+    per_k, top = _costs(method, dims)
+    if not target_ratio >= 1.0:
         raise InfeasibleError(f"target ratio must be >= 1, got {target_ratio}")
-    for k in range(top, 0, -1):
-        if ratio_for(method, dims, k) >= target_ratio:
-            return k
-    raise InfeasibleError(
-        f"target ratio {target_ratio} is unreachable for method {method} on dims {tuple(dims)}; "
-        f"the maximum is {ratio_for(method, dims, 1):.4f} at k=1"
-    )
+    # ratio_for(k) = prod(dims) / (k * per_k) falls as k grows: invert it,
+    # then step once past the rounding of the division.
+    k = min(top, math.floor(math.prod(int(d) for d in dims) / (per_k * target_ratio)))
+    if k >= 1 and ratio_for(method, dims, k) < target_ratio:
+        k -= 1
+    elif k < top and ratio_for(method, dims, k + 1) >= target_ratio:
+        k += 1
+    if k < 1:
+        raise InfeasibleError(
+            f"target ratio {target_ratio} is unreachable for method {method} on dims {tuple(dims)}; "
+            f"the maximum is {ratio_for(method, dims, 1):.4f} at k=1"
+        )
+    return k
 
 
 def _check_k(method: str, dims, k: int) -> int:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .compression import CompressionResult, stored_count_for
 from .errors import DataError, DimensionError, FormatError, InfeasibleError
+from .transforms import check_dims
 
 TENSOR_MAGIC = b"TSR1"
 COMPRESSED_MAGIC = b"TSC1"
@@ -38,10 +39,7 @@ def _tensor_parts(a) -> tuple[bytes, np.ndarray]:
     array in column-major order, a view of ``a`` when ``a`` is already
     Fortran-contiguous float64, else one copy."""
     a = np.asarray(a)
-    if a.ndim < 3:
-        raise DimensionError(f"tensor files require order >= 3, got order {a.ndim}")
-    if min(a.shape) < 1:
-        raise DimensionError(f"tensor has a zero extent: {a.shape}")
+    check_dims(a.shape)
     header = TENSOR_MAGIC + struct.pack("<B", a.ndim) + np.asarray(a.shape, dtype="<u8").tobytes()
     return header, np.asfortranarray(a, dtype="<f8").ravel(order="F")
 

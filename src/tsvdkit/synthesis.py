@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import t_product
-from .errors import DimensionError, InfeasibleError
+from .errors import InfeasibleError
+from .transforms import check_dims
 
 
 def random_low_tubal_rank(dims, rank: int, seed: int) -> np.ndarray:
@@ -14,11 +15,7 @@ def random_low_tubal_rank(dims, rank: int, seed: int) -> np.ndarray:
 
     Deterministic for a given seed; ``rank == 0`` yields the zero tensor.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 3:
-        raise DimensionError(f"need order >= 3, got dims {dims}")
-    if min(dims) < 1:
-        raise DimensionError(f"extents must be >= 1, got {dims}")
+    dims = check_dims(dims)
     n1, n2 = dims[:2]
     trailing = dims[2:]
     if not 0 <= rank <= min(n1, n2):

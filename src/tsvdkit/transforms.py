@@ -34,6 +34,17 @@ import numpy as np
 from .errors import DataError, DimensionError, NumericalError
 
 
+def check_dims(shape, name: str = "tensor") -> tuple[int, ...]:
+    """The extents of ``shape`` as ints, once they pass the one shape rule of
+    tsvdkit: order >= 3 and no zero extent, else ``DimensionError``."""
+    dims = tuple(int(n) for n in shape)
+    if len(dims) < 3:
+        raise DimensionError(f"{name} must have order >= 3, got order {len(dims)}")
+    if min(dims) < 1:
+        raise DimensionError(f"{name} has a zero extent: {dims}")
+    return dims
+
+
 def _half_dims(trailing_dims) -> tuple[int, ...]:
     trailing = tuple(int(n) for n in trailing_dims)
     return trailing[:-1] + (trailing[-1] // 2 + 1,)
@@ -129,8 +140,7 @@ def fft_mode3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         :func:`to_stack` of it is that stack, without a copy.
     """
     arr = np.asarray(a)
-    if arr.ndim < 3:
-        raise DimensionError(f"expected order >= 3, got order {arr.ndim}")
+    check_dims(arr.shape)
     if np.iscomplexobj(arr):
         raise DataError("the trailing-mode transform takes a real tensor")
     layout = _layout(arr.shape[2:])
@@ -155,9 +165,7 @@ def ifft_mode3(a_hat: np.ndarray, trailing_dims, out: np.ndarray | None = None) 
     one first, in a copy (order >= 4 only; order 3 has no such pairs).
     """
     arr = np.asarray(a_hat)
-    if arr.ndim < 3:
-        raise DimensionError(f"expected order >= 3, got order {arr.ndim}")
-    trailing = tuple(int(n) for n in trailing_dims)
+    trailing = check_dims(arr.shape[:2] + tuple(trailing_dims))[2:]
     half = _half_dims(trailing)
     if arr.shape[2:] != half:
         raise DimensionError(
@@ -321,8 +329,7 @@ class SamplingOperator:
 
     def __init__(self, mask):
         arr = np.asarray(mask)
-        if arr.ndim < 3:
-            raise DimensionError(f"mask must have order >= 3, got order {arr.ndim}")
+        check_dims(arr.shape, "mask")
         if arr.dtype != bool:
             values = np.unique(arr)
             if not np.isin(values, (0, 1)).all():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvdkit import algebra, transforms
+from tsvdkit.decomposition import t_svd
 from tsvdkit.errors import DataError, DimensionError
 
 from tproduct_reference import t_product_reference, tube_mult
@@ -110,9 +111,17 @@ class TestTranspose:
         rhs = algebra.t_product(algebra.transpose(b), algebra.transpose(a))
         assert rel(lhs, rhs) <= 1e-10
 
-    def test_rejects_order4(self):
+    def test_order4(self):
+        rng = np.random.default_rng(9)
+        for trailing in ((4, 3), (3, 2, 4)):
+            a = rng.standard_normal((3, 2) + trailing)
+            b = rng.standard_normal((2, 4) + trailing)
+            assert np.array_equal(algebra.transpose(algebra.transpose(a)), a)
+            lhs = algebra.transpose(algebra.t_product(a, b))
+            rhs = algebra.t_product(algebra.transpose(b), algebra.transpose(a))
+            assert rel(lhs, rhs) <= 1e-10
         with pytest.raises(DimensionError):
-            algebra.transpose(np.zeros((2, 2, 2, 2)))
+            algebra.transpose(np.zeros((2, 2)))
 
 
 class TestIdentity:
@@ -120,8 +129,9 @@ class TestIdentity:
         assert np.array_equal(algebra.identity(2, 1)[:, :, 0], np.eye(2))
 
     def test_self_product(self):
-        eye = algebra.identity(3, 4)
-        assert np.allclose(algebra.t_product(eye, eye), eye, atol=1e-12)
+        for trailing in ((4,), (4, 3)):
+            eye = algebra.identity(3, *trailing)
+            assert np.allclose(algebra.t_product(eye, eye), eye, atol=1e-12)
 
     def test_spectrum_is_identity_everywhere(self):
         eye_hat = transforms.fft_mode3(algebra.identity(3, 5))
@@ -135,6 +145,13 @@ class TestIsOrthogonal:
 
     def test_zero_false(self):
         assert not algebra.is_orthogonal(np.zeros((4, 4, 3)))
+        assert not algebra.is_orthogonal(np.zeros((4, 4, 3, 2)))
+
+    def test_order4_t_svd_factors(self):
+        m = np.random.default_rng(10).standard_normal((5, 5, 4, 3))
+        factors = t_svd(m)
+        assert algebra.is_orthogonal(factors.u)
+        assert algebra.is_orthogonal(factors.v)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionError):

@@ -65,6 +65,39 @@ class TestKForRatio:
         with pytest.raises(InfeasibleError):
             compression.k_for_ratio("svd", (10, 10, 10), 0.5)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 1 - 1e-16])
+    def test_nonfinite_or_low_target_rejected(self, target):
+        for method in compression.METHODS:
+            with pytest.raises(InfeasibleError):
+                compression.k_for_ratio(method, (6, 5, 4, 3), target)
+
+    @staticmethod
+    def walk(method, dims, target):
+        """Reference: the largest k whose ratio meets the target, found by
+        walking down from k_max; None when no k does."""
+        for k in range(compression.k_max(method, dims), 0, -1):
+            if compression.ratio_for(method, dims, k) >= target:
+                return k
+        return None
+
+    @pytest.mark.parametrize("dims", [(10, 10, 10), (7, 5, 6), (30, 20, 8), (6, 5, 4, 3), (5, 4, 3, 2, 2)],
+                             ids=lambda d: "x".join(map(str, d)))
+    def test_matches_walk(self, dims):
+        for method in compression.METHODS:
+            ratios = [compression.ratio_for(method, dims, k)
+                      for k in range(1, compression.k_max(method, dims) + 1)]
+            # Every exact ratio, its float neighbours, and values in between.
+            targets = [1.0, 1.5, 2.0, 3.7, 10.0, 1e6]
+            for r in ratios:
+                targets += [r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)]
+            for target in targets:
+                want = self.walk(method, dims, target)
+                if target < 1.0 or want is None:
+                    with pytest.raises(InfeasibleError):
+                        compression.k_for_ratio(method, dims, target)
+                else:
+                    assert compression.k_for_ratio(method, dims, target) == want, (method, target)
+
 
 class TestCompressSvd:
     def test_full_rank_is_exact(self):
