@@ -88,5 +88,8 @@ def is_orthogonal(q, tol: float = 1e-9) -> bool:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm: square root of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(np.asarray(a).ravel()))
+    """Frobenius norm: square root of the sum of squared entry magnitudes.
+
+    The entries are read in memory order, so a C- or F-ordered array is
+    read in place, without a flattened copy."""
+    return float(np.linalg.norm(np.asarray(a).ravel(order="K")))

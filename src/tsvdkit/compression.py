@@ -142,7 +142,9 @@ def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
     for the next holds one reconstruction at a time.  The tensor and every k
     are checked before anything is factored; the tensor is then factored once
     for the whole sweep (the unfolding SVD for ``svd``, :func:`t_svd` for
-    ``tsvd`` and ``tsvd_tubal``).  Each reconstruction is the one
+    ``tsvd`` and ``tsvd_tubal``).  The ``tsvd`` entries are ranked once for
+    the sweep, and ``tsvd_tubal`` transforms back only the ``max(ks)`` tubes
+    the sweep can store.  Each reconstruction is the one
     :func:`decode_payload` makes from the result's payload, so ``rse_db`` is
     the error of exactly what is stored, except at ``k == k_max``, where the
     reconstruction is an exact copy of the input.
@@ -154,7 +156,7 @@ def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
         _check_k(method, m.shape, k)
     if not ks:
         return
-    step = _FACTOR[method](m)
+    step = _FACTOR[method](m, max(ks))
     for k in ks:
         payload, meta = step(k)
         yield _result(m, method, k, payload, meta, m.copy() if k == top else _decode(
@@ -184,7 +186,7 @@ def _result(m, method: str, k: int, payload, meta, recon) -> CompressionResult:
 # Each scheme factors the tensor once and returns its per-k step, which gives
 # the payload blocks and the tsvd record bookkeeping.
 
-def _svd_step(m):
+def _svd_step(m, top_k):
     """Rank-k truncated SVD of the slice-vectorized unfolding."""
     u, s, vh = np.linalg.svd(m.reshape(m.shape[0] * m.shape[1], -1, order="F"), full_matrices=False)
 
@@ -194,31 +196,70 @@ def _svd_step(m):
     return step
 
 
-def _tsvd_step(m):
-    """Keep the k largest spectral f-diagonal entries globally.
+def _tsvd_step(m, top_k):
+    """Keep the k largest spectral f-diagonal entries globally, one uniform
+    record per budget unit.
 
-    Ties are broken by (slice index, diagonal index) ascending; an entry and
-    its conjugate are kept or dropped together so the reconstruction is real.
+    The entries off the mirrored slices are ranked once for the sweep: sigma
+    descending, ties broken by (slice index, diagonal index) ascending.  An
+    entry of a real slice is one ``SELF`` record; one of a complex slice
+    stands for itself and its conjugate, and costs a ``PAIR_RE``/``PAIR_IM``
+    record pair, so the reconstruction is real.  Each record stores one
+    ``(scalar, u_part, v_part)`` row of ``1 + n1 + n2`` reals.  A remainder
+    slot is filled by whichever captures more energy: the best real rank-1
+    summary of the straddled pair, or the largest remaining real-slice
+    entry.
     """
     factors = t_svd(m)
+    sig, u_hat, v_hat = factors.sig_hat, factors.u_hat, factors.v_hat
+    n1, n2 = m.shape[:2]
     real = transforms.real_slices(m.shape[2:])
-    mirrored = transforms.mirrored_slices(m.shape[2:])
+    kept = ~transforms.mirrored_slices(m.shape[2:])
+    slices, diags = np.nonzero(np.broadcast_to(kept[:, None], sig.shape))
+    rank = np.lexsort((diags, slices, -sig[slices, diags]))
+    slices, diags = slices[rank], diags[rank]
+    cost = np.where(real[slices], 1, 2)
+    spent = np.cumsum(cost)
 
     def step(k):
-        records = _select_tsvd_records(factors.sig_hat, factors.u_hat, factors.v_hat, real, mirrored, k)
-        payload = [np.concatenate(([scalar], u_part, v_part))
-                   for _, _, _, scalar, u_part, v_part in records]
-        return payload, [(kind, j, i) for kind, j, i, _, _, _ in records]
+        whole = int(np.searchsorted(spent, k, side="right"))  # entries kept whole
+        entry = np.repeat(np.arange(whole), cost[:whole])
+        j, i = slices[entry], diags[entry]
+        im = np.zeros(entry.size, dtype=bool)
+        im[1:] = entry[1:] == entry[:-1]
+        rows = np.empty((k, 1 + n1 + n2))
+        u, v = u_hat[j, :, i], v_hat[j, :, i]
+        rows[:entry.size, 0] = sig[j, i]
+        rows[:entry.size, 1:1 + n1] = np.where(im[:, None], u.imag, u.real)
+        rows[:entry.size, 1 + n1:] = np.where(im[:, None], v.imag, v.real)
+        meta = list(zip(np.where(im, PAIR_IM, np.where(real[j], SELF, PAIR_RE)).tolist(), j.tolist(), i.tolist()))
+        if entry.size < k:
+            # One slot left and the next candidate is a pair: compare the
+            # pair's best real rank-1 summary, which never increases the
+            # error, against the largest remaining entry of a real slice.
+            jn, i_n = slices[whole], diags[whole]
+            contrib = sig[jn, i_n] * np.outer(u_hat[jn, :, i_n], v_hat[jn, :, i_n].conj())
+            uu, ss, vvh = np.linalg.svd(contrib.real)
+            later = whole + 1 + np.flatnonzero(real[slices[whole + 1:]])
+            if later.size and sig[slices[later[0]], diags[later[0]]] >= ss[0]:
+                jn, i_n = slices[later[0]], diags[later[0]]
+                rows[-1] = np.concatenate(([sig[jn, i_n]], u_hat[jn, :, i_n].real, v_hat[jn, :, i_n].real))
+                meta.append((SELF, int(jn), int(i_n)))
+            else:
+                rows[-1] = np.concatenate(([ss[0]], uu[:, 0], vvh[0, :]))
+                meta.append((HALF, int(jn), int(i_n)))
+        return list(rows), meta
 
     return step
 
 
-def _tsvd_tubal_step(m):
-    """Keep the first k singular tubes (tensor-SVD truncation)."""
+def _tsvd_tubal_step(m, top_k):
+    """Keep the first k singular tubes (tensor-SVD truncation); only the
+    ``top_k`` tubes the sweep stores at most are transformed back."""
     factors = t_svd(m)
-    u, v = factors.u, factors.v
+    u, v = (transforms.ifft_stack(a[:, :, :top_k], m.shape[2:]) for a in (factors.u_hat, factors.v_hat))
     # The diagonal tubes of factors.s, without the dense n1 x n2 x n3 tensor.
-    tubes = transforms.ifft_stack(factors.sig_hat[:, None, :], m.shape[2:])[0]
+    tubes = transforms.ifft_stack(factors.sig_hat[:, None, :top_k], m.shape[2:])[0]
 
     def step(k):
         return [np.ascontiguousarray(a) for a in (u[:, :k, :], tubes[:k], v[:, :k, :])], []
@@ -229,105 +270,80 @@ def _tsvd_tubal_step(m):
 _FACTOR = {"svd": _svd_step, "tsvd": _tsvd_step, "tsvd_tubal": _tsvd_tubal_step}
 
 
-def _select_tsvd_records(sig: np.ndarray, u_hat: np.ndarray, v_hat: np.ndarray,
-                         real: np.ndarray, mirrored: np.ndarray, k2: int):
-    """Pick the ``k2`` largest spectral f-diagonal entries, emitting one
-    uniform record per budget unit.
-
-    ``sig`` is ``(slices, n0)`` over the stored half spectrum, ``real``
-    marks its real slices and ``mirrored`` those that are the conjugate of
-    another stored slice, which are never selected.  An entry of a real
-    slice is one ``SELF`` record; one of a complex slice stands for itself
-    and its conjugate, and costs a ``PAIR_RE``/``PAIR_IM`` record pair.  Records are ``(kind, slice, diag,
-    scalar, u_part, v_part)`` with ``u_part``/``v_part`` real vectors of
-    lengths n1/n2.  A remainder slot is filled by whichever captures more
-    energy: the best real rank-1 summary of the straddled pair, or the
-    largest remaining real-slice entry.
-    """
-    rho, n0 = sig.shape
-    order = sorted(
-        ((i, j) for i in range(n0) for j in range(rho) if not mirrored[j]),
-        key=lambda ij: (-sig[ij[1], ij[0]], ij[1], ij[0]),
-    )
-
-    def self_record(i, j):
-        return (SELF, j, i, float(sig[j, i]), u_hat[j, :, i].real.copy(), v_hat[j, :, i].real.copy())
-
-    def half_record(i, j):
-        # Best real rank-1 approximation of the real part of the pair's
-        # rank-1 spectral contribution; never increases the error.
-        contrib = sig[j, i] * np.outer(u_hat[j, :, i], v_hat[j, :, i].conj())
-        uu, ss, vvh = np.linalg.svd(contrib.real)
-        return (HALF, j, i, float(ss[0]), uu[:, 0].copy(), vvh[0, :].copy())
-
-    records = []
-    budget = k2
-    for pos, (i, j) in enumerate(order):
-        if budget == 0:
-            break
-        if real[j]:
-            records.append(self_record(i, j))
-            budget -= 1
-        elif budget >= 2:
-            records.append((PAIR_RE, j, i, float(sig[j, i]),
-                            u_hat[j, :, i].real.copy(), v_hat[j, :, i].real.copy()))
-            records.append((PAIR_IM, j, i, float(sig[j, i]),
-                            u_hat[j, :, i].imag.copy(), v_hat[j, :, i].imag.copy()))
-            budget -= 2
-        else:
-            # One slot left and the next candidate is a pair: compare the
-            # pair's real rank-1 summary against the largest remaining entry
-            # of a real slice.
-            half = half_record(i, j)
-            single = next((self_record(i2, j2) for i2, j2 in order[pos + 1:] if real[j2]), None)
-            records.append(single if single is not None and single[3] >= half[3] else half)
-            budget -= 1
-    return records
-
-
-def _decode_tsvd_records(records, dims) -> np.ndarray:
+def _decode_tsvd_records(rows: np.ndarray, meta: np.ndarray, dims) -> np.ndarray:
     """Rebuild the real reconstruction from uniform spectral records.
+
+    ``rows`` holds one ``(scalar, u_part, v_part)`` record per row and
+    ``meta`` its ``(kind, slice, diag)``.  A ``SELF`` or ``HALF`` record adds
+    ``scalar * u_part v_part^T`` to its slice.  The ``PAIR_RE`` and
+    ``PAIR_IM`` records of one ``(slice, diag)`` pair up in record order;
+    each pair adds ``scalar * u v^H``, with ``u`` and ``v`` assembled from
+    the two records' real and imaginary parts and the scalar of the record
+    that completes the pair.  Each slice takes one matrix product.
 
     Raises
     ------
     FormatError
         If a record has an unknown kind, an out-of-range ``(slice, diag)``,
         a kind that does not fit its slice (``SELF`` only on real slices), a
-        mirrored slice, or a pair half without its other half.
+        mirrored slice, or a pair half without its other half.  The first
+        faulty record in record order is named.
     """
     n1, n2 = dims[:2]
     real = transforms.real_slices(dims[2:])
     mirrored = transforms.mirrored_slices(dims[2:])
-    stack = np.zeros((real.size, n1, n2), dtype=np.complex128)
-    pending = {}
-    for kind, j, i, scalar, u_part, v_part in records:
-        if kind not in (SELF, PAIR_RE, PAIR_IM, HALF):
-            raise FormatError(f"unknown tsvd record kind {kind}")
-        if not (j < real.size and i < min(n1, n2)):
-            raise FormatError(f"tsvd record (slice {j}, diag {i}) out of range for dims {dims}")
-        if mirrored[j]:
-            raise FormatError(f"tsvd record on slice {j}, the conjugate of another stored slice")
-        if (kind == SELF) != real[j]:
-            raise FormatError(
-                f"tsvd record kind {kind} does not fit {'real' if real[j] else 'complex'} slice {j}"
-            )
-        if kind in (SELF, HALF):
-            stack[j] += scalar * np.outer(u_part, v_part)
-        elif (j, i) not in pending:
-            pending[(j, i)] = (kind, u_part, v_part)
-        else:
-            other_kind, other_u, other_v = pending.pop((j, i))
-            if other_kind == kind:
-                raise FormatError(f"tsvd payload has two records of kind {kind} for (slice {j}, diag {i})")
-            if kind == PAIR_IM:
-                u = other_u + 1j * u_part
-                v = other_v + 1j * v_part
-            else:
-                u = u_part + 1j * other_u
-                v = v_part + 1j * other_v
-            stack[j] += scalar * np.outer(u, v.conj())
-    if pending:
+    kind, j, i = meta.T
+    # Pair halves grouped by (slice, diag), in record order within a group;
+    # every second half of a group completes the pair the one before opened.
+    halves = np.flatnonzero((kind == PAIR_RE) | (kind == PAIR_IM))
+    halves = halves[np.lexsort((i[halves], j[halves]))]
+    opens = np.ones(halves.size, dtype=bool)
+    opens[1:] = (j[halves[1:]] != j[halves[:-1]]) | (i[halves[1:]] != i[halves[:-1]])
+    at = np.arange(halves.size)
+    completes = (at - np.maximum.accumulate(np.where(opens, at, 0))) % 2 == 1
+    first, second = halves[np.flatnonzero(completes) - 1], halves[completes]
+
+    in_range = (j >= 0) & (j < real.size) & (i >= 0) & (i < min(n1, n2))
+    jj = np.where(in_range, j, 0)
+    twin = np.zeros(kind.size, dtype=bool)
+    twin[second[kind[first] == kind[second]]] = True
+    # Each record's checks, in the order a record is checked.
+    faults = np.stack((~np.isin(kind, (SELF, PAIR_RE, PAIR_IM, HALF)), ~in_range, mirrored[jj],
+                       (kind == SELF) != real[jj], twin))
+    if faults.any():
+        r = int(np.argmax(faults.any(axis=0)))
+        kr, jr, ir = (int(x) for x in meta[r])
+        raise FormatError([
+            f"unknown tsvd record kind {kr}",
+            f"tsvd record (slice {jr}, diag {ir}) out of range for dims {dims}",
+            f"tsvd record on slice {jr}, the conjugate of another stored slice",
+            f"tsvd record kind {kr} does not fit {'real' if real[jj[r]] else 'complex'} slice {jr}",
+            f"tsvd payload has two records of kind {kr} for (slice {jr}, diag {ir})",
+        ][int(np.argmax(faults[:, r]))])
+    if 2 * second.size != halves.size:
         raise FormatError("unpaired pair-record in tsvd payload")
+
+    # One term per SELF or HALF record and per pair, ordered by slice: the
+    # rows of its real parts, of its imaginary parts (pairs only) and of its
+    # scalar.
+    single = np.flatnonzero((kind == SELF) | (kind == HALF))
+    re = np.where(kind[second] == PAIR_RE, second, first)
+    term = np.concatenate((single, second))
+    by_slice = np.argsort(j[term], kind="stable")
+    term, re_rows = term[by_slice], np.concatenate((single, re))[by_slice]
+    paired = by_slice >= single.size
+    im_rows = (first + second - re)[by_slice[paired] - single.size]
+    u = np.zeros((term.size, n1), dtype=np.complex128)
+    v = np.zeros((term.size, n2), dtype=np.complex128)
+    u.real = rows[re_rows, 1:1 + n1]
+    u.imag[paired] = rows[im_rows, 1:1 + n1]
+    v.real = rows[re_rows, 1 + n1:]
+    v.imag[paired] = -rows[im_rows, 1 + n1:]
+    u *= rows[term, :1]
+    stack = np.zeros((real.size, n1, n2), dtype=np.complex128)
+    present, starts = np.unique(j[term], return_index=True)
+    for slice_, a, b in zip(present.tolist(), starts.tolist(), np.append(starts[1:], term.size).tolist()):
+        np.matmul(u[a:b].T, v[a:b], out=stack[slice_])
     return transforms.ifft_stack(stack, dims[2:])
 
 
@@ -367,12 +383,8 @@ def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
     if method == "tsvd":
         if len(meta) != k:
             raise DimensionError(f"tsvd payload carries {len(meta)} records, expected {k}")
-        width = 1 + n1 + n2
-        records = []
-        for unit, (kind, j, i) in enumerate(meta):
-            row = scalars[unit * width: (unit + 1) * width]
-            records.append((kind, j, i, float(row[0]), row[1: 1 + n1], row[1 + n1:]))
-        return _decode_tsvd_records(records, dims)
+        return _decode_tsvd_records(scalars.reshape(k, 1 + n1 + n2),
+                                    np.asarray(meta, dtype=np.int64).reshape(k, 3), dims)
     u = scalars[: n1 * k * p].reshape((n1, k) + trailing, order="F")
     tubes = scalars[n1 * k * p: n1 * k * p + k * p].reshape((k,) + trailing, order="F")
     v = scalars[n1 * k * p + k * p:].reshape((n2, k) + trailing, order="F")

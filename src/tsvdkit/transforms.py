@@ -36,10 +36,12 @@ from .errors import DataError, DimensionError, NumericalError
 
 def check_dims(shape, name: str = "tensor") -> tuple[int, ...]:
     """The extents of ``shape`` as ints, once they pass the one shape rule of
-    tsvdkit: order >= 3 and no zero extent, else ``DimensionError``."""
+    tsvdkit: order >= 3 and every extent positive, else ``DimensionError``."""
     dims = tuple(int(n) for n in shape)
     if len(dims) < 3:
         raise DimensionError(f"{name} must have order >= 3, got order {len(dims)}")
+    if min(dims) < 0:
+        raise DimensionError(f"{name} has a negative extent: {dims}")
     if min(dims) < 1:
         raise DimensionError(f"{name} has a zero extent: {dims}")
     return dims

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,28 @@ class TestFrobenius:
         slice_norms = np.linalg.norm(transforms.fft_mode3(a), axis=(0, 1))
         rhs = (slice_norms**2) @ transforms.slice_weights((7,)) / 7
         assert abs(lhs - rhs) <= 1e-10 * lhs
+
+    def test_c_order_matches_flattened_norm(self):
+        """A C-ordered array is summed as a flattened copy of it would be, to
+        the last bit, so every completion residual is unchanged."""
+        rng = np.random.default_rng(9)
+        for a in (rng.standard_normal((5, 4, 7)), rng.standard_normal((6, 5, 4, 3)),
+                  rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))):
+            assert algebra.frobenius(a) == float(np.linalg.norm(a.ravel()))
+
+    def test_f_order_read_in_place(self):
+        """An F-ordered tensor, as read_tensor returns one, is summed without
+        a flattened copy, and agrees with the C-order sum to rounding."""
+        a = np.asfortranarray(np.random.default_rng(10).standard_normal((100, 100, 40)))
+        want = float(np.linalg.norm(np.ascontiguousarray(a).ravel()))
+        tracemalloc.start()
+        try:
+            got = algebra.frobenius(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(got - want) <= 1e-15 * want
+        assert peak < a.nbytes / 10
 
 
 def test_check_tensor_rejects_nonfinite():

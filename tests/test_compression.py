@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsvdkit import algebra, compression, decomposition, synthesis, transforms
+from tsvdkit.compression import HALF, PAIR_IM, PAIR_RE, SELF
 from tsvdkit.errors import FormatError, InfeasibleError, NumericalError
+
+from tsvd_decode_reference import decode_tsvd_reference
 
 
 def rel(got, want):
@@ -324,6 +329,152 @@ class TestTsvdRecordValidation:
         meta = [(compression.PAIR_RE, 3, 0), (compression.PAIR_IM, 3, 0)] + list(result.meta[2:])
         with pytest.raises(FormatError, match="conjugate of another stored slice"):
             compression.decode_payload("tsvd", m.shape, 6, scalars, meta)
+
+
+class TestWhatIsStored:
+    """Every stored scalar and record, pinned against references the test
+    computes from ``t_svd(m)``, at orders 3 and 4.  No golden hashes: LAPACK
+    output differs across numpy builds."""
+
+    DIMS = [(6, 5, 4), (6, 5, 4, 3)]
+
+    @staticmethod
+    def reference_tsvd(m, factors, k):
+        """The ``(kind, slice, diag)`` records and payload rows of the ``k``
+        largest entries, ranked by ``sorted`` and walked one budget unit at a
+        time."""
+        sig, u_hat, v_hat = factors.sig_hat, factors.u_hat, factors.v_hat
+        real = transforms.real_slices(m.shape[2:])
+        mirrored = transforms.mirrored_slices(m.shape[2:])
+        entries = sorted(((j, i) for j in range(sig.shape[0]) for i in range(sig.shape[1]) if not mirrored[j]),
+                         key=lambda e: (-sig[e], e[0], e[1]))
+        meta, rows = [], []
+        for pos, (j, i) in enumerate(entries):
+            if len(meta) == k:
+                break
+            u, v = u_hat[j, :, i], v_hat[j, :, i]
+            if real[j]:
+                meta.append((SELF, j, i))
+                rows.append(np.concatenate(([sig[j, i]], u.real, v.real)))
+            elif len(meta) + 2 <= k:
+                meta += [(PAIR_RE, j, i), (PAIR_IM, j, i)]
+                rows += [np.concatenate(([sig[j, i]], u.real, v.real)),
+                         np.concatenate(([sig[j, i]], u.imag, v.imag))]
+            else:
+                uu, ss, vvh = np.linalg.svd((sig[j, i] * np.outer(u, v.conj())).real)
+                later = [e for e in entries[pos + 1:] if real[e[0]]]
+                if later and sig[later[0]] >= ss[0]:
+                    j, i = later[0]
+                    meta.append((SELF, j, i))
+                    rows.append(np.concatenate(([sig[j, i]], u_hat[j, :, i].real, v_hat[j, :, i].real)))
+                else:
+                    meta.append((HALF, j, i))
+                    rows.append(np.concatenate(([ss[0]], uu[:, 0], vvh[0, :])))
+        return meta, rows
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.meta == want.meta
+        assert [b.tobytes() for b in got.payload] == [b.tobytes() for b in want.payload]
+        assert got.reconstruction.tobytes() == want.reconstruction.tobytes()
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"order{len(d)}")
+    def test_tsvd_records(self, dims):
+        m = np.random.default_rng(20).standard_normal(dims)
+        factors = decomposition.t_svd(m)
+        ks = range(1, compression.k_max("tsvd", dims) + 1)
+        halves = 0
+        for got in compression.compress_sweep(m, "tsvd", ks):
+            meta, rows = self.reference_tsvd(m, factors, got.k)
+            assert got.meta == meta
+            assert [b.tobytes() for b in got.payload] == [row.tobytes() for row in rows]
+            self.assert_same(got, compression.compress(m, "tsvd", got.k))
+            halves += meta[-1][0] == HALF
+        assert halves
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"order{len(d)}")
+    @pytest.mark.parametrize("ks", [[1, 2, 4], [5]])
+    def test_tsvd_tubal_blocks(self, dims, ks):
+        m = np.random.default_rng(21).standard_normal(dims)
+        factors = decomposition.t_svd(m)
+        u, s, v = factors.u, factors.s, factors.v
+        for got in compression.compress_sweep(m, "tsvd_tubal", ks):
+            k = got.k
+            want = [u[:, :k], s[np.arange(k), np.arange(k)], v[:, :k]]
+            assert [b.tobytes() for b in got.payload] == [np.ascontiguousarray(w).tobytes() for w in want]
+            self.assert_same(got, compression.compress(m, "tsvd_tubal", k))
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"order{len(d)}")
+    def test_svd_sweep_matches_single_runs(self, dims):
+        m = np.random.default_rng(22).standard_normal(dims)
+        for got in compression.compress_sweep(m, "svd", [1, 2, 4]):
+            self.assert_same(got, compression.compress(m, "svd", got.k))
+
+
+class TestTsvdDecodeReference:
+    """The batched ``tsvd`` decoder against the record-by-record one in
+    ``tsvd_decode_reference.py``: equal reconstructions on valid payloads,
+    equal ``FormatError`` text on malformed ones."""
+
+    # Order 4 with mirrored slices ((4, 3, 4, 3): slice 3) and without.
+    DIMS = [(4, 3, 6), (5, 4, 5), (4, 3, 4, 3), (3, 4, 2, 4)]
+
+    @staticmethod
+    def payload(dims, k, seed):
+        """Random scalars under the records of a real ``tsvd`` result, in
+        random record order."""
+        rng = np.random.default_rng(seed)
+        meta = compression.compress(rng.standard_normal(dims), "tsvd", k).meta
+        rows = rng.standard_normal((k, 1 + dims[0] + dims[1]))
+        return rows, [meta[r] for r in rng.permutation(k)]
+
+    @staticmethod
+    def outcomes(dims, rows, meta):
+        """What each decoder makes of the payload: an array or an error text."""
+        out = []
+        for decode in (lambda *a: compression.decode_payload("tsvd", *a), decode_tsvd_reference):
+            try:
+                out.append(decode(dims, len(meta), rows.ravel(), meta))
+            except FormatError as exc:
+                out.append(str(exc))
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from(DIMS), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_valid_payloads(self, dims, data, seed):
+        k = data.draw(st.integers(1, compression.k_max("tsvd", dims)))
+        got, want = self.outcomes(dims, *self.payload(dims, k, seed))
+        assert rel(got, want) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.sampled_from(DIMS), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           mutation=st.sampled_from(["kind", "slice", "diag", "mirrored", "duplicate", "drop"]))
+    def test_mutated_meta(self, dims, data, seed, mutation):
+        k = data.draw(st.integers(1, compression.k_max("tsvd", dims)))
+        rows, meta = self.payload(dims, k, seed)
+        r = data.draw(st.integers(0, k - 1))
+        kind, j, i = meta[r]
+        halves = [t for t, rec in enumerate(meta) if rec[0] in (PAIR_RE, PAIR_IM)]
+        if mutation == "kind":
+            meta[r] = (data.draw(st.sampled_from([SELF, PAIR_RE, PAIR_IM, HALF, 4, 255])), j, i)
+        elif mutation == "slice":
+            meta[r] = (kind, data.draw(st.integers(0, transforms.real_slices(dims[2:]).size + 1)), i)
+        elif mutation == "diag":
+            meta[r] = (kind, j, data.draw(st.integers(0, min(dims[:2]) + 1)))
+        elif mutation == "mirrored":
+            mirrored = np.flatnonzero(transforms.mirrored_slices(dims[2:])).tolist()
+            if mirrored:
+                meta[r] = (kind, data.draw(st.sampled_from(mirrored)), i)
+        elif halves and mutation == "duplicate":
+            meta[r] = meta[data.draw(st.sampled_from(halves))]
+        elif halves and k > 1:
+            drop = data.draw(st.sampled_from(halves))
+            rows, meta = np.delete(rows, drop, axis=0), meta[:drop] + meta[drop + 1:]
+        got, want = self.outcomes(dims, rows, meta)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert rel(got, want) <= 1e-12
 
 
 def test_monotone_rse_in_retained_parameters():

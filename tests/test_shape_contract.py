@@ -52,7 +52,10 @@ def test_malformed_shape_raises_dimension_error(entry, shape):
         ENTRY_POINTS[entry](shape)
 
 
-@pytest.mark.parametrize("dims", ["30x30", "3x0x4", "3x4x-1"])
-def test_cli_malformed_dims_exit_2(tmp_path, capsys, dims):
+@pytest.mark.parametrize("dims,why", [("30x30", "dims must have order >= 3"),
+                                      ("3x0x4", "dims has a zero extent"),
+                                      ("3x4x-1", "dims has a negative extent")],
+                         ids=["30x30", "3x0x4", "3x4x-1"])
+def test_cli_malformed_dims_exit_2(tmp_path, capsys, dims, why):
     assert main(["gen", dims, "--rank", "0", "--out", str(tmp_path / "g.tsr")]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {why}" in capsys.readouterr().err
