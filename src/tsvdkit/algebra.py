@@ -9,6 +9,8 @@ evaluates as slice-wise matrix products in the spectral domain.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import transforms
@@ -87,9 +89,24 @@ def is_orthogonal(q, tol: float = 1e-9) -> bool:
     )
 
 
+# The smallest norm whose square is a normal float64.
+_NORM_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
+
+
 def frobenius(a) -> float:
     """Frobenius norm: square root of the sum of squared entry magnitudes.
 
     The entries are read in memory order, so a C- or F-ordered array is
-    read in place, without a flattened copy."""
-    return float(np.linalg.norm(np.asarray(a).ravel(order="K")))
+    read in place, without a flattened copy.  A sum of squares that
+    overflows, or falls below the normal float64 range, is taken again over
+    the entries divided by the largest magnitude, so a norm that float64
+    can hold comes out finite and nonzero, at full precision."""
+    x = np.asarray(a).ravel(order="K")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if not _NORM_FLOOR <= norm < math.inf and np.isfinite(x).all():
+        scale = float(np.abs(x).max())
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+

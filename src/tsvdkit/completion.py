@@ -53,10 +53,10 @@ class AdmmConfig:
     positivity: bool = False
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise DataError(f"rho must be positive, got {self.rho}")
-        if not self.tol_primal > 0:
-            raise DataError(f"tol_primal must be positive, got {self.tol_primal}")
+        if not 0 < self.rho < math.inf:
+            raise DataError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 < self.tol_primal < math.inf:
+            raise DataError(f"tol_primal must be positive and finite, got {self.tol_primal}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -147,7 +147,8 @@ def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
     the sweep can store.  Each reconstruction is the one
     :func:`decode_payload` makes from the result's payload, so ``rse_db`` is
     the error of exactly what is stored, except at ``k == k_max``, where the
-    reconstruction is an exact copy of the input.
+    reconstruction is an exact copy of the input.  A reconstruction that
+    overflows raises ``NumericalError``, as :func:`decode_payload` does.
     """
     m = check_tensor(m, name="compression input")
     top = k_max(method, m.shape)
@@ -159,7 +160,7 @@ def compress_sweep(m, method: str, ks) -> Iterator[CompressionResult]:
     step = _FACTOR[method](m, max(ks))
     for k in ks:
         payload, meta = step(k)
-        yield _result(m, method, k, payload, meta, m.copy() if k == top else _decode(
+        yield _result(m, method, k, payload, meta, m.copy() if k == top else decode_payload(
             method, m.shape, k, np.concatenate([b.ravel(order="F") for b in payload]), meta))
 
 
@@ -189,6 +190,8 @@ def _result(m, method: str, k: int, payload, meta, recon) -> CompressionResult:
 def _svd_step(m, top_k):
     """Rank-k truncated SVD of the slice-vectorized unfolding."""
     u, s, vh = np.linalg.svd(m.reshape(m.shape[0] * m.shape[1], -1, order="F"), full_matrices=False)
+    if not np.isfinite(s).all():
+        raise NumericalError("singular values of the unfolding are not finite; they overflowed")
 
     def step(k):
         return [np.ascontiguousarray(a) for a in (u[:, :k], s[:k], vh[:k, :].T)], []
@@ -259,7 +262,10 @@ def _tsvd_tubal_step(m, top_k):
     factors = t_svd(m)
     u, v = (transforms.ifft_stack(a[:, :, :top_k], m.shape[2:]) for a in (factors.u_hat, factors.v_hat))
     # The diagonal tubes of factors.s, without the dense n1 x n2 x n3 tensor.
-    tubes = transforms.ifft_stack(factors.sig_hat[:, None, :top_k], m.shape[2:])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tubes = transforms.ifft_stack(factors.sig_hat[:, None, :top_k], m.shape[2:])[0]
+    if not np.isfinite(tubes).all():
+        raise NumericalError("singular tubes are not finite; the inverse transform overflowed")
 
     def step(k):
         return [np.ascontiguousarray(a) for a in (u[:, :k, :], tubes[:k], v[:, :k, :])], []

@@ -9,13 +9,14 @@ all in one batched call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import transforms
 from .algebra import check_tensor
-from .errors import DimensionError
+from .errors import DataError, DimensionError, NumericalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +84,18 @@ class TSvdFactors:
         return truncate(self, min(self.dims[0], self.dims[1]))
 
 
+def _slice_svds(m: np.ndarray, compute_uv: bool = True):
+    """:func:`transforms.svd_slices` of the half spectrum of ``m``.  An
+    overflowing transform or singular value raises ``NumericalError``, not a
+    numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = transforms.to_stack(transforms.fft_mode3(m))
+    factors = transforms.svd_slices(stack, compute_uv=compute_uv)
+    if not np.isfinite(factors[1] if compute_uv else factors).all():
+        raise NumericalError("spectral singular values are not finite; they overflowed")
+    return factors
+
+
 def t_svd(m) -> TSvdFactors:
     """Factor a real tensor of order >= 3 into orthogonal-by-f-diagonal form.
 
@@ -93,11 +106,11 @@ def t_svd(m) -> TSvdFactors:
     Raises
     ------
     NumericalError
-        If the transformed tensor is not finite or a slice SVD fails to
-        converge.
+        If the transformed tensor or its singular values are not finite
+        (they overflowed), or a slice SVD fails to converge.
     """
     m = check_tensor(m, name="t_svd input")
-    u_hat, sig_hat, vh_hat = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)))
+    u_hat, sig_hat, vh_hat = _slice_svds(m)
     v_hat = vh_hat.conj().swapaxes(1, 2)
     for arr in (u_hat, sig_hat, v_hat):
         arr.setflags(write=False)
@@ -123,9 +136,11 @@ def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
 def rank_measures(m, tol: float = 1e-8) -> dict:
     """Multi-rank, tubal rank, TNN and TTN from one pass of spectral singular
     values, keyed by the names of the functions that return each."""
+    if not 0 <= tol < math.inf:
+        raise DataError(f"tol must be nonnegative and finite, got {tol}")
     m = check_tensor(m)
     trailing = m.shape[2:]
-    sig = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)), compute_uv=False).T
+    sig = _slice_svds(m, compute_uv=False).T
     weights = transforms.slice_weights(trailing)
     # l2 norms of the singular tubes, by Parseval over the full spectrum.
     tube_norms = np.sqrt((sig**2) @ weights / weights.sum())

@@ -16,10 +16,13 @@ a mirrored slice, one that is the conjugate of another stored slice.
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import os
 import re
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -34,25 +37,47 @@ _METHOD_TAGS = {"svd": 1, "tsvd": 2, "tsvd_tubal": 3}
 _TAG_METHODS = {tag: name for name, tag in _METHOD_TAGS.items()}
 
 
-def _tensor_parts(a) -> tuple[bytes, np.ndarray]:
-    """The TSR1 header of ``a`` and its payload: the entries as a 1-D ``<f8``
-    array in column-major order, a view of ``a`` when ``a`` is already
-    Fortran-contiguous float64, else one copy."""
+# Values the writer converts at a time: a write holds this one buffer (4 MiB),
+# whatever the tensor's layout or dtype.
+_WRITE_BUFFER = 2**19
+# Kinds of dtype that convert to float64 without fail: bool, integers,
+# floats and complex (whose imaginary part the conversion drops, with numpy's
+# ComplexWarning).
+_NUMERIC_KINDS = "biufc"
+
+
+def _tensor_chunks(a) -> Iterator:
+    """The TSR1 bytes of ``a``: its header, then its entries as ``<f8`` in
+    column-major order, one buffer at a time.
+
+    The payload streams through numpy's buffered iterator, so a writer holds
+    no copy of the tensor; a Fortran-contiguous float64 tensor is written
+    from its own memory.  The iterator reuses its buffer, so each chunk must
+    be written before the next is drawn.  The tensor is checked, and the
+    conversion set up, when this is called, before a byte is drawn.
+    """
     a = np.asarray(a)
     check_dims(a.shape)
+    if a.dtype.kind not in _NUMERIC_KINDS:
+        raise DataError(f"cannot write a tensor of non-numeric dtype {a.dtype}")
     header = TENSOR_MAGIC + struct.pack("<B", a.ndim) + np.asarray(a.shape, dtype="<u8").tobytes()
-    return header, np.asfortranarray(a, dtype="<f8").ravel(order="F")
+    payload = np.nditer(a, flags=["external_loop", "buffered"], op_flags=[["readonly", "contig"]],
+                        op_dtypes=["<f8"], casting="unsafe", order="F", buffersize=_WRITE_BUFFER)
+    return itertools.chain([header], payload)
 
 
 def tensor_to_bytes(a: np.ndarray) -> bytes:
-    return b"".join(_tensor_parts(a))
+    buffer = io.BytesIO()
+    buffer.writelines(_tensor_chunks(a))
+    return buffer.getvalue()
 
 
 def write_tensor(path, a: np.ndarray) -> None:
-    header, payload = _tensor_parts(a)
+    """Write ``a`` as a TSR1 file.  A tensor that cannot be written raises
+    before the file is opened, so it never truncates an existing file."""
+    chunks = _tensor_chunks(a)
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+        f.writelines(chunks)
 
 
 def _tensor_layout(head: bytes, size: int) -> tuple[tuple[int, ...], int]:

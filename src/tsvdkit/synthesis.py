@@ -6,14 +6,15 @@ import numpy as np
 
 from .algebra import t_product
 from .errors import InfeasibleError
-from .transforms import check_dims
+from .transforms import check_dims, seeded_rng
 
 
 def random_low_tubal_rank(dims, rank: int, seed: int) -> np.ndarray:
     """Product of two standard-normal factor tensors with inner extent
     ``rank``, giving tubal rank ``rank`` almost surely.
 
-    Deterministic for a given seed; ``rank == 0`` yields the zero tensor.
+    Deterministic for a given seed, a nonnegative integer; ``rank == 0``
+    yields the zero tensor.
     """
     dims = check_dims(dims)
     n1, n2 = dims[:2]
@@ -24,7 +25,7 @@ def random_low_tubal_rank(dims, rank: int, seed: int) -> np.ndarray:
         )
     if rank == 0:
         return np.zeros(dims)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     left = rng.standard_normal((n1, rank) + trailing)
     right = rng.standard_normal((rank, n2) + trailing)
     return t_product(left, right)

@@ -47,6 +47,14 @@ def check_dims(shape, name: str = "tensor") -> tuple[int, ...]:
     return dims
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's default generator for ``seed``, which must be a nonnegative
+    integer, else ``DataError``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _half_dims(trailing_dims) -> tuple[int, ...]:
     trailing = tuple(int(n) for n in trailing_dims)
     return trailing[:-1] + (trailing[-1] // 2 + 1,)
@@ -346,8 +354,7 @@ class SamplingOperator:
         """Seeded independent Bernoulli(``rate``) mask over the given dims."""
         if not 0.0 <= rate <= 1.0:
             raise DataError(f"sampling rate must lie in [0, 1], got {rate}")
-        rng = np.random.default_rng(seed)
-        return cls(rng.random(tuple(dims)) < rate)
+        return cls(seeded_rng(seed).random(tuple(dims)) < rate)
 
     @property
     def dims(self) -> tuple[int, ...]:

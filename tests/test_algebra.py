@@ -167,6 +167,19 @@ class TestFrobenius:
     def test_ones(self):
         assert algebra.frobenius(np.ones((2, 2, 2))) == pytest.approx(np.sqrt(8))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200])
+    def test_sum_of_squares_out_of_range(self, scale):
+        """A sum of squares past the float64 maximum, or below its normal
+        range, does not make a representable norm infinite or inexact, nor
+        warn."""
+        a = np.full((2, 2, 2), -scale)
+        a[0, 1, 1] = scale
+        assert algebra.frobenius(a) == pytest.approx(np.sqrt(8) * scale, rel=1e-15)
+
+    def test_norm_past_the_float_maximum_is_infinite(self):
+        assert algebra.frobenius(np.full((3, 3, 3), 1e308)) == float("inf")
+
     def test_parseval(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((5, 4, 7))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tsvdkit import compression, fileio, transforms
+from tsvdkit import cli, compression, fileio, transforms
 from tsvdkit.cli import main
 
 METRICS_KEYS = {"command", "dims", "parameters", "results", "wall_time_s"}
@@ -45,6 +45,12 @@ class TestGen:
     def test_infeasible_rank(self, tmp_path, capsys):
         code, _ = run(capsys, "gen", "4x4x3", "--rank", "9", "--out", str(tmp_path / "x.tsr"))
         assert code == 4
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.tsr"
+        assert main(["gen", "3x3x3", "--rank", "1", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_order4(self, tmp_path, capsys):
         out = tmp_path / "m4.tsr"
@@ -157,6 +163,14 @@ class TestCompressCommand:
             "--k-list", "1,2", "--out", str(tmp_path / "r.tsr"),
         )
         assert code == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["svd", "tsvd", "tsvd-tubal"])
+    def test_overflow_exits_3(self, tmp_path, capsys, method):
+        path = tmp_path / "huge.tsr"
+        fileio.write_tensor(path, np.full((2, 2, 2), 1e308))
+        assert main(["compress", str(path), "--method", method, "--k", "1"]) == 3
+        assert "not finite" in capsys.readouterr().err
 
     def test_infeasible_ratio(self, tensor_file, capsys):
         code, _ = run(
@@ -276,6 +290,17 @@ class TestCompleteCommand:
         code, _ = run(capsys, "complete", str(truth_file))
         assert code == 2
 
+    def test_negative_seed_exits_2(self, truth_file, capsys):
+        assert main(["complete", str(truth_file), "--sample-rate", "0.5", "--seed", "-1"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,name", [("--rho", "rho"), ("--tol", "tol_primal")])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_parameter_exits_2_unsolved(self, truth_file, capsys, monkeypatch, flag, name, value):
+        monkeypatch.setattr(cli, "complete", lambda *args, **kwargs: pytest.fail("solved"))
+        assert main(["complete", str(truth_file), "--sample-rate", "0.5", flag, value]) == 2
+        assert f"{name} must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_exit_code(self, tmp_path, capsys):
         huge = tmp_path / "huge.tsr"
@@ -334,7 +359,7 @@ class TestInfoCommand:
         assert record["results"]["tnn"] == 0.0
         assert record["results"]["tubal_rank"] == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_tube_exits_3(self, tmp_path, capsys):
         tensor = np.zeros((4, 4, 2))
         tensor[1, 2, :] = 1e308
@@ -361,6 +386,14 @@ class TestInfoCommand:
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "info", "/nonexistent/path.tsr")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2_unfactored(self, tmp_path, capsys, monkeypatch, tol):
+        monkeypatch.setattr(transforms, "svd_slices", lambda *args, **kwargs: pytest.fail("factored"))
+        path = tmp_path / "m.tsr"
+        fileio.write_tensor(path, np.ones((3, 3, 2)))
+        assert main(["info", str(path), "--tol", tol]) == 2
+        assert "tol must be nonnegative and finite" in capsys.readouterr().err
 
 
 class TestImportPgm:

@@ -572,6 +572,12 @@ class TestConfigValidation:
         with pytest.raises(DataError):
             completion.AdmmConfig(tol_primal=0.0)
 
+    @pytest.mark.parametrize("field", ["rho", "tol_primal"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be positive and finite"):
+            completion.AdmmConfig(**{field: value})
+
     def test_bad_max_iter(self):
         with pytest.raises(DataError):
             completion.AdmmConfig(max_iter=0)

@@ -281,6 +281,29 @@ class TestDecodePayload:
         with pytest.raises(NumericalError, match="not finite"):
             compression.decode_payload(method, m.shape, k, scalars, result.meta)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", compression.METHODS)
+    def test_overflowing_input_raises_numerical_error(self, method):
+        m = np.full((2, 2, 2), 1e308)
+        for k in (1, compression.k_max(method, m.shape)):
+            with pytest.raises(NumericalError, match="not finite"):
+                compression.compress(m, method, k)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", compression.METHODS)
+    @pytest.mark.parametrize("scale", [1e-170, 1e200, 1e300, 5e307])
+    def test_extreme_scale_is_scaled_or_numerical_error(self, method, scale):
+        """A representable result is the scaled result of the unscaled
+        input, with finite factors; any other ends in NumericalError."""
+        unit = np.random.default_rng(12).choice([-1.0, 1.0], (4, 3, 5))
+        for k in (1, 2, compression.k_max(method, unit.shape)):
+            try:
+                result = compression.compress(scale * unit, method, k)
+            except NumericalError:
+                continue
+            assert all(np.isfinite(b).all() for b in result.payload)
+            assert result.rse_db == pytest.approx(compression.compress(unit, method, k).rse_db, abs=1e-9)
+
     def test_full_budget_payload_rebuilds_input(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((4, 4, 3))

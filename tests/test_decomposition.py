@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsvdkit import algebra, decomposition, synthesis, transforms
-from tsvdkit.errors import DimensionError, NumericalError
+from tsvdkit.errors import DataError, DimensionError, NumericalError
 
 
 def rel(got, want):
@@ -139,8 +139,10 @@ def overflowing_tube():
     return m
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 class TestOverflow:
+    """An overflow ends in NumericalError, without a numpy warning."""
+
     def test_t_svd_raises(self):
         with pytest.raises(NumericalError):
             decomposition.t_svd(overflowing_tube())
@@ -148,6 +150,31 @@ class TestOverflow:
     def test_tnn_raises(self):
         with pytest.raises(NumericalError):
             decomposition.tnn(overflowing_tube())
+
+    def test_overflowing_singular_values_raise(self):
+        """The transform is finite; the largest singular value is not."""
+        m = np.full((2, 2, 2), 5e307)
+        assert np.isfinite(transforms.fft_mode3(m)).all()
+        with pytest.raises(NumericalError, match="singular values are not finite"):
+            decomposition.t_svd(m)
+        with pytest.raises(NumericalError, match="singular values are not finite"):
+            decomposition.rank_measures(m)
+
+
+class TestRankMeasuresTol:
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300])
+    def test_bad_tol_raises_before_factoring(self, tol, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("factored before checking tol")
+
+        monkeypatch.setattr(transforms, "svd_slices", unreachable)
+        with pytest.raises(DataError, match="tol must be nonnegative and finite"):
+            decomposition.rank_measures(np.ones((2, 2, 2)), tol)
+
+    def test_zero_tol_counts_every_nonzero_value(self):
+        eye = np.zeros((3, 3, 2))
+        eye[:, :, 0] = np.eye(3)
+        assert decomposition.rank_measures(eye, 0.0)["tubal_rank"] == 3
 
 
 class TestTruncate:

@@ -277,6 +277,27 @@ class TestSamplingOperator:
             transforms.SamplingOperator.bernoulli((2, 2, 2), 1.5, seed=0)
 
 
+class TestSeeds:
+    """Both seeded constructors take a nonnegative integer seed only."""
+
+    SEEDED = {
+        "bernoulli": lambda seed: transforms.SamplingOperator.bernoulli((4, 3, 2), 0.5, seed).mask,
+        "random_low_tubal_rank": lambda seed: random_low_tubal_rank((4, 3, 2), 1, seed),
+    }
+
+    @pytest.mark.parametrize("name", SEEDED)
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None, [1, 2]])
+    def test_bad_seed_raises_data_error(self, name, seed):
+        with pytest.raises(DataError, match="seed must be a nonnegative integer"):
+            self.SEEDED[name](seed)
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_integer_seeds(self, name):
+        draw = self.SEEDED[name]
+        assert np.array_equal(draw(np.int64(3)), draw(3))
+        assert draw(2**70).shape == (4, 3, 2)
+
+
 def spectral_projector(sampler, x_hat):
     """The sampling operator seen in the Fourier domain, F P F^-1."""
     return transforms.fft_mode3(sampler.apply(transforms.ifft_mode3(x_hat, sampler.dims[2:])))
