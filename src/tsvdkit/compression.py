@@ -17,8 +17,9 @@ denominator counts.  For ``tsvd`` this is achieved with uniform
 ``(1 + n1 + n2)``-real records over the stored half spectrum: an entry of a
 real slice stores its real columns directly (one ``SELF`` record), an entry
 of a complex slice stands for itself and its conjugate and stores
-real/imaginary column parts across two records (the pair is kept or dropped
-together, so reconstructions stay real), and a budget remainder of one slot
+real/imaginary column parts across two records, a ``PAIR_RE`` record directly
+followed by its ``PAIR_IM`` (the pair is kept or dropped together, so
+reconstructions stay real), and a budget remainder of one slot
 stores the best real rank-1 summary of the leading remaining candidate.  At
 order >= 4 the stored half also holds mirrored slices, the conjugates of
 other stored slices (:func:`tsvdkit.transforms.mirrored_slices`); no record
@@ -281,41 +282,37 @@ def _decode_tsvd_records(rows: np.ndarray, meta: np.ndarray, dims) -> np.ndarray
 
     ``rows`` holds one ``(scalar, u_part, v_part)`` record per row and
     ``meta`` its ``(kind, slice, diag)``.  A ``SELF`` or ``HALF`` record adds
-    ``scalar * u_part v_part^T`` to its slice.  The ``PAIR_RE`` and
-    ``PAIR_IM`` records of one ``(slice, diag)`` pair up in record order;
-    each pair adds ``scalar * u v^H``, with ``u`` and ``v`` assembled from
-    the two records' real and imaginary parts and the scalar of the record
-    that completes the pair.  Each slice takes one matrix product.
+    ``scalar * u_part v_part^T`` to its slice.  A ``PAIR_RE`` record is
+    directly followed by the ``PAIR_IM`` record of the same
+    ``(slice, diag)``; the pair adds ``scalar * u v^H``, with ``u`` and ``v``
+    assembled from the two records' real and imaginary parts and the scalar
+    of the ``PAIR_IM`` record.  Each slice takes one matrix product, over its
+    single records in record order, then its pairs by diag.
 
     Raises
     ------
     FormatError
         If a record has an unknown kind, an out-of-range ``(slice, diag)``,
         a kind that does not fit its slice (``SELF`` only on real slices), a
-        mirrored slice, or a pair half without its other half.  The first
-        faulty record in record order is named.
+        mirrored slice, or is a pair half without its other half next to it.
+        The first faulty record in record order is named.
     """
     n1, n2 = dims[:2]
     real = transforms.real_slices(dims[2:])
     mirrored = transforms.mirrored_slices(dims[2:])
     kind, j, i = meta.T
-    # Pair halves grouped by (slice, diag), in record order within a group;
-    # every second half of a group completes the pair the one before opened.
-    halves = np.flatnonzero((kind == PAIR_RE) | (kind == PAIR_IM))
-    halves = halves[np.lexsort((i[halves], j[halves]))]
-    opens = np.ones(halves.size, dtype=bool)
-    opens[1:] = (j[halves[1:]] != j[halves[:-1]]) | (i[halves[1:]] != i[halves[:-1]])
-    at = np.arange(halves.size)
-    completes = (at - np.maximum.accumulate(np.where(opens, at, 0))) % 2 == 1
-    first, second = halves[np.flatnonzero(completes) - 1], halves[completes]
+    # The PAIR_IM records that directly follow the PAIR_RE of their
+    # (slice, diag); any other pair half is a broken pair.
+    im = 1 + np.flatnonzero((kind[:-1] == PAIR_RE) & (kind[1:] == PAIR_IM)
+                            & (j[:-1] == j[1:]) & (i[:-1] == i[1:]))
+    paired = np.zeros(kind.size, dtype=bool)
+    paired[im] = paired[im - 1] = True
 
     in_range = (j >= 0) & (j < real.size) & (i >= 0) & (i < min(n1, n2))
     jj = np.where(in_range, j, 0)
-    twin = np.zeros(kind.size, dtype=bool)
-    twin[second[kind[first] == kind[second]]] = True
     # Each record's checks, in the order a record is checked.
     faults = np.stack((~np.isin(kind, (SELF, PAIR_RE, PAIR_IM, HALF)), ~in_range, mirrored[jj],
-                       (kind == SELF) != real[jj], twin))
+                       (kind == SELF) != real[jj], ((kind == PAIR_RE) | (kind == PAIR_IM)) & ~paired))
     if faults.any():
         r = int(np.argmax(faults.any(axis=0)))
         kr, jr, ir = (int(x) for x in meta[r])
@@ -324,27 +321,23 @@ def _decode_tsvd_records(rows: np.ndarray, meta: np.ndarray, dims) -> np.ndarray
             f"tsvd record (slice {jr}, diag {ir}) out of range for dims {dims}",
             f"tsvd record on slice {jr}, the conjugate of another stored slice",
             f"tsvd record kind {kr} does not fit {'real' if real[jj[r]] else 'complex'} slice {jr}",
-            f"tsvd payload has two records of kind {kr} for (slice {jr}, diag {ir})",
+            f"broken tsvd pair at record {r} (kind {kr}, slice {jr}, diag {ir}): a PAIR_RE record "
+            f"must be directly followed by the PAIR_IM record of its (slice, diag)",
         ][int(np.argmax(faults[:, r]))])
-    if 2 * second.size != halves.size:
-        raise FormatError("unpaired pair-record in tsvd payload")
 
-    # One term per SELF or HALF record and per pair, ordered by slice: the
-    # rows of its real parts, of its imaginary parts (pairs only) and of its
-    # scalar.
-    single = np.flatnonzero((kind == SELF) | (kind == HALF))
-    re = np.where(kind[second] == PAIR_RE, second, first)
-    term = np.concatenate((single, second))
-    by_slice = np.argsort(j[term], kind="stable")
-    term, re_rows = term[by_slice], np.concatenate((single, re))[by_slice]
-    paired = by_slice >= single.size
-    im_rows = (first + second - re)[by_slice[paired] - single.size]
+    # One term per SELF or HALF record and per pair, ordered by slice, named
+    # by the row of its scalar; a pair's real parts sit in the row before.
+    im = im[np.lexsort((i[im], j[im]))]
+    term = np.concatenate((np.flatnonzero((kind == SELF) | (kind == HALF)), im))
+    term = term[np.argsort(j[term], kind="stable")]
+    is_pair = kind[term] == PAIR_IM
+    re_rows = term - is_pair
     u = np.zeros((term.size, n1), dtype=np.complex128)
     v = np.zeros((term.size, n2), dtype=np.complex128)
     u.real = rows[re_rows, 1:1 + n1]
-    u.imag[paired] = rows[im_rows, 1:1 + n1]
+    u.imag[is_pair] = rows[term[is_pair], 1:1 + n1]
     v.real = rows[re_rows, 1 + n1:]
-    v.imag[paired] = -rows[im_rows, 1 + n1:]
+    v.imag[is_pair] = -rows[term[is_pair], 1 + n1:]
     u *= rows[term, :1]
     stack = np.zeros((real.size, n1, n2), dtype=np.complex128)
     present, starts = np.unique(j[term], return_index=True)

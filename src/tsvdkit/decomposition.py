@@ -142,9 +142,11 @@ def rank_measures(m, tol: float = 1e-8) -> dict:
     trailing = m.shape[2:]
     sig = _slice_svds(m, compute_uv=False).T
     weights = transforms.slice_weights(trailing)
-    # l2 norms of the singular tubes, by Parseval over the full spectrum.
-    tube_norms = np.sqrt((sig**2) @ weights / weights.sum())
-    ranks = (sig > tol * sig.max(initial=0.0)).sum(axis=0).astype(np.int64)
+    top = sig.max(initial=0.0) or 1.0
+    # l2 norms of the singular tubes, by Parseval over the full spectrum,
+    # squared over the largest value so that no square leaves the float range.
+    tube_norms = top * np.sqrt((sig / top) ** 2 @ weights / weights.sum())
+    ranks = (sig > tol * top).sum(axis=0).astype(np.int64)
     return {
         "multi_rank": transforms.full_slices(ranks, trailing),
         "tubal_rank": int((tube_norms > tol * tube_norms.max(initial=0.0)).sum()),

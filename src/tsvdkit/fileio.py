@@ -11,7 +11,11 @@ record count (tsvd only, else 0), uint64 retained-scalar count (a header of
 6 + 8*N + 24 bytes), the scalar block as float64, then for tsvd one
 ``(uint8 kind, uint32 slice, uint32 diag)`` triple per record.  ``slice``
 indexes the stored half spectrum (:mod:`tsvdkit.transforms`) and never names
-a mirrored slice, one that is the conjugate of another stored slice.
+a mirrored slice, one that is the conjugate of another stored slice.  A
+``PAIR_RE`` record is directly followed by the ``PAIR_IM`` record of the same
+``(slice, diag)``, and a ``PAIR_IM`` record appears nowhere else.  A header
+whose decoded tensor (``8 * n1 * ... * nN`` bytes) exceeds physical memory
+is refused.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ TENSOR_MAGIC = b"TSR1"
 COMPRESSED_MAGIC = b"TSC1"
 _METHOD_TAGS = {"svd": 1, "tsvd": 2, "tsvd_tubal": 3}
 _TAG_METHODS = {tag: name for name, tag in _METHOD_TAGS.items()}
+_DECODE_LIMIT = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # physical memory, bytes
 
 
 # Values the writer converts at a time: a write holds this one buffer (4 MiB),
@@ -297,7 +302,8 @@ def write_compressed(path, result: CompressionResult, dims) -> None:
 
 def compressed_from_bytes(data: bytes):
     """Parse a TSC1 blob into ``(method, dims, k, scalars, meta)``; a blob
-    that breaks the format in any way raises ``FormatError``."""
+    that breaks the format in any way, or that decodes to more bytes than
+    physical memory holds, raises ``FormatError``."""
     if len(data) < 6 or data[:4] != COMPRESSED_MAGIC:
         raise FormatError("not a TSC1 compressed file (bad magic)")
     tag, order = data[4], data[5]
@@ -311,6 +317,8 @@ def compressed_from_bytes(data: bytes):
     *dims, k, n_records, n_scalars = struct.unpack_from(f"<{order + 3}Q", data, 6)
     dims = tuple(dims)
     method = _TAG_METHODS[tag]
+    if 8 * math.prod(dims) > _DECODE_LIMIT:
+        raise FormatError(f"dims {dims} decode to {8 * math.prod(dims)} bytes, more than physical memory")
     try:
         expected = stored_count_for(method, dims, k)
     except (DimensionError, InfeasibleError) as exc:

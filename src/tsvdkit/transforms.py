@@ -9,7 +9,7 @@ Stored slices are numbered as :func:`merge_trailing` numbers them, third index
 fastest.
 
 This module is the only one that knows how that half relates to the full
-spectrum:
+spectrum, and only ``_cached_layout`` derives the conjugate map behind it:
 
 * a stored slice outside the ``k_N in {0, n_N/2}`` planes stands for itself
   and for its conjugate, which is not stored; one inside those planes stands
@@ -27,6 +27,7 @@ the slice weights and ``rho`` the product of the trailing extents.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -61,22 +62,24 @@ def _half_dims(trailing_dims) -> tuple[int, ...]:
 
 
 class _Layout(NamedTuple):
-    in_plane: np.ndarray  # per stored slice: in a k_N in {0, n_N/2} plane
-    real: np.ndarray  # indices of the real slices
-    upper: np.ndarray  # indices of the higher member of each pair in the planes
-    lower: np.ndarray  # and of the lower member, which it mirrors
+    weights: np.ndarray  # per stored slice: the full-spectrum slices it stands for
+    real: np.ndarray  # per stored slice: its own conjugate
+    mirrored: np.ndarray  # per stored slice: the higher member of a pair in the planes
+    lower: np.ndarray  # per mirrored slice: the lower member, which it mirrors
+    source: np.ndarray  # per full-spectrum slice: the stored slice behind it
 
 
 @functools.lru_cache(maxsize=64)
 def _cached_layout(trailing: tuple[int, ...]) -> _Layout:
-    half = _half_dims(trailing)
-    k = np.indices(half).reshape(len(half), -1, order="F")
-    in_plane = (2 * k[-1]) % trailing[-1] == 0
-    mirrored = [(-kk) % n for kk, n in zip(k[:-1], trailing[:-1])] + [k[-1]]
-    own = np.arange(k.shape[1])
-    partner = np.where(in_plane, np.ravel_multi_index(mirrored, half, order="F"), own)
-    upper = np.flatnonzero(partner < own)
-    layout = _Layout(in_plane, np.flatnonzero(in_plane & (partner == own)), upper, partner[upper])
+    # Slice k of the full spectrum has conjugate (-k) mod n: every trailing
+    # mode flipped, then rolled by one.  The stored half is its leading run.
+    axes = tuple(range(len(trailing)))
+    full = np.arange(math.prod(trailing)).reshape(trailing, order="F")
+    conj = np.roll(np.flip(full, axes), 1, axes).ravel(order="F")
+    stored = math.prod(_half_dims(trailing))
+    own, partner = np.arange(stored), conj[:stored]
+    layout = _Layout(np.where(partner < stored, 1.0, 2.0), partner == own, partner < own,
+                     partner[partner < own], np.concatenate((own, conj[stored:])))
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -92,25 +95,21 @@ def slice_weights(trailing_dims) -> np.ndarray:
     """How many slices of the full spectrum each stored slice stands for: 1 in
     the ``k_N in {0, n_N/2}`` planes, 2 elsewhere.  A sum over the full
     spectrum of a quantity shared by conjugate slices (singular values,
-    squared norms) is the weighted sum over the stored slices."""
-    return np.where(_layout(trailing_dims).in_plane, 1.0, 2.0)
+    squared norms) is the weighted sum over the stored slices.  Read-only."""
+    return _layout(trailing_dims).weights
 
 
 def real_slices(trailing_dims) -> np.ndarray:
     """Which stored slices are their own conjugate, hence real: those whose
-    every trailing index is 0 or ``n/2``."""
-    layout = _layout(trailing_dims)
-    real = np.zeros(layout.in_plane.size, dtype=bool)
-    real[layout.real] = True
-    return real
+    every trailing index is 0 or ``n/2``.  Read-only."""
+    return _layout(trailing_dims).real
 
 
 def mirrored_slices(trailing_dims) -> np.ndarray:
     """Which stored slices :func:`ifft_mode3` overwrites with the conjugate of
     a lower-numbered one: the higher member of each conjugate pair inside the
-    ``k_N in {0, n_N/2}`` planes (none at order 3)."""
-    layout = _layout(trailing_dims)
-    return np.isin(np.arange(layout.in_plane.size), layout.upper)
+    ``k_N in {0, n_N/2}`` planes (none at order 3).  Read-only."""
+    return _layout(trailing_dims).mirrored
 
 
 def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
@@ -121,12 +120,7 @@ def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
     the values must be ones that conjugation leaves unchanged, such as
     singular values or ranks.
     """
-    trailing = tuple(int(n) for n in trailing_dims)
-    half = _half_dims(trailing)
-    k = np.indices(trailing).reshape(len(trailing), -1, order="F")
-    mirrored = np.stack([(-kk) % n for kk, n in zip(k, trailing)])
-    source = np.where(k[-1] < half[-1], k, mirrored)
-    return np.asarray(values)[..., np.ravel_multi_index(source, half, order="F")]
+    return np.asarray(values)[..., _layout(trailing_dims).source]
 
 
 def fft_mode3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -155,7 +149,7 @@ def fft_mode3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise DataError("the trailing-mode transform takes a real tensor")
     layout = _layout(arr.shape[2:])
     if out is None:
-        stack = np.empty((layout.in_plane.size,) + arr.shape[:2], dtype=np.complex128)
+        stack = np.empty((layout.real.size,) + arr.shape[:2], dtype=np.complex128)
         out = from_stack(stack, _half_dims(arr.shape[2:]))
     np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)), out=out)
     # The complex passes over modes 3..N-1 can leave rounding in the
@@ -183,9 +177,9 @@ def ifft_mode3(a_hat: np.ndarray, trailing_dims, out: np.ndarray | None = None) 
             f"trailing extents {trailing} (expected {half})"
         )
     layout = _layout(trailing)
-    if layout.upper.size:
+    if layout.lower.size:
         merged = merge_trailing(arr).copy()
-        merged[:, :, layout.upper] = merged[:, :, layout.lower].conj()
+        merged[:, :, layout.mirrored] = merged[:, :, layout.lower].conj()
         arr = unmerge_trailing(merged, half)
     return np.fft.irfftn(arr, s=trailing, axes=tuple(range(2, arr.ndim)), out=out)
 

@@ -444,12 +444,18 @@ class TestTsvdDecodeReference:
 
     @staticmethod
     def payload(dims, k, seed):
-        """Random scalars under the records of a real ``tsvd`` result, in
-        random record order."""
+        """Random scalars under the records of a real ``tsvd`` result, its
+        terms (a single record, or a ``PAIR_RE`` record and the ``PAIR_IM``
+        after it) in random order."""
         rng = np.random.default_rng(seed)
-        meta = compression.compress(rng.standard_normal(dims), "tsvd", k).meta
+        terms = []
+        for record in compression.compress(rng.standard_normal(dims), "tsvd", k).meta:
+            if record[0] == PAIR_IM:
+                terms[-1].append(record)
+            else:
+                terms.append([record])
         rows = rng.standard_normal((k, 1 + dims[0] + dims[1]))
-        return rows, [meta[r] for r in rng.permutation(k)]
+        return rows, [record for t in rng.permutation(len(terms)) for record in terms[t]]
 
     @staticmethod
     def outcomes(dims, rows, meta):
@@ -471,13 +477,15 @@ class TestTsvdDecodeReference:
 
     @settings(max_examples=150, deadline=None)
     @given(dims=st.sampled_from(DIMS), data=st.data(), seed=st.integers(0, 2**32 - 1),
-           mutation=st.sampled_from(["kind", "slice", "diag", "mirrored", "duplicate", "drop"]))
+           mutation=st.sampled_from(["kind", "slice", "diag", "mirrored", "duplicate", "drop",
+                                     "swap", "split"]))
     def test_mutated_meta(self, dims, data, seed, mutation):
         k = data.draw(st.integers(1, compression.k_max("tsvd", dims)))
         rows, meta = self.payload(dims, k, seed)
         r = data.draw(st.integers(0, k - 1))
         kind, j, i = meta[r]
         halves = [t for t, rec in enumerate(meta) if rec[0] in (PAIR_RE, PAIR_IM)]
+        opens = [t for t in halves if meta[t][0] == PAIR_RE]
         if mutation == "kind":
             meta[r] = (data.draw(st.sampled_from([SELF, PAIR_RE, PAIR_IM, HALF, 4, 255])), j, i)
         elif mutation == "slice":
@@ -490,14 +498,36 @@ class TestTsvdDecodeReference:
                 meta[r] = (kind, data.draw(st.sampled_from(mirrored)), i)
         elif halves and mutation == "duplicate":
             meta[r] = meta[data.draw(st.sampled_from(halves))]
-        elif halves and k > 1:
+        elif halves and k > 1 and mutation == "drop":
             drop = data.draw(st.sampled_from(halves))
             rows, meta = np.delete(rows, drop, axis=0), meta[:drop] + meta[drop + 1:]
+        elif opens and mutation == "swap":
+            t = data.draw(st.sampled_from(opens))
+            meta[t], meta[t + 1] = meta[t + 1], meta[t]
+        elif opens and mutation == "split":
+            t = data.draw(st.sampled_from(opens))
+            im = meta.pop(t + 1)
+            meta.insert(data.draw(st.sampled_from([p for p in range(k) if p != t + 1])), im)
         got, want = self.outcomes(dims, rows, meta)
+        if opens and mutation in ("swap", "split"):
+            assert isinstance(want, str) and want.startswith("broken tsvd pair")
         if isinstance(want, str):
             assert got == want
         else:
             assert rel(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("meta,at", [
+        ([(PAIR_IM, 1, 0), (PAIR_RE, 1, 0), (SELF, 0, 0), (SELF, 0, 1)], 0),
+        ([(PAIR_RE, 1, 0), (SELF, 0, 0), (PAIR_IM, 1, 0), (SELF, 0, 1)], 0),
+        ([(SELF, 0, 0), (PAIR_RE, 2, 0), (PAIR_IM, 2, 0), (PAIR_RE, 1, 0)], 3),
+        ([(PAIR_RE, 1, 0), (PAIR_RE, 2, 0), (PAIR_IM, 2, 0), (PAIR_IM, 1, 0)], 0),
+    ], ids=["pair-im-first", "split-halves", "trailing-pair-re", "two-pair-re-in-a-row"])
+    def test_broken_pairs(self, meta, at):
+        """Slices 0 and 3 of a 4x3x6 tensor are real, 1 and 2 complex."""
+        rows = np.random.default_rng(14).standard_normal((4, 8))
+        got, want = self.outcomes((4, 3, 6), rows, meta)
+        assert got == want
+        assert want.startswith(f"broken tsvd pair at record {at} ")
 
 
 def test_monotone_rse_in_retained_parameters():

@@ -161,6 +161,19 @@ class TestOverflow:
             decomposition.rank_measures(m)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150, 1e160])
+def test_rank_measures_follow_the_scale(scale):
+    """Ranks do not change with the scale of the data, and the norms scale
+    with it, also where a squared singular value leaves the float range."""
+    m = np.random.default_rng(30).standard_normal((4, 3, 5))
+    want, got = decomposition.rank_measures(m), decomposition.rank_measures(scale * m)
+    assert np.array_equal(got["multi_rank"], want["multi_rank"])
+    assert got["tubal_rank"] == want["tubal_rank"] == 3
+    for key in ("tnn", "ttn"):
+        assert got[key] == pytest.approx(scale * want[key], rel=1e-12)
+
+
 class TestRankMeasuresTol:
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300])
     def test_bad_tol_raises_before_factoring(self, tol, monkeypatch):

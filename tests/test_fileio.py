@@ -4,6 +4,7 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from coordinate_mask_reference import read_coordinate_mask_reference
 from pgm_reference import read_pgm_reference
 from tsvdkit import compression, fileio
-from tsvdkit.errors import DataError, DimensionError, FormatError
+from tsvdkit.errors import DataError, DimensionError, FormatError, NumericalError
 
 
 class TestTensorFile:
@@ -499,8 +500,9 @@ class TestPgm:
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
-# Offsets of the uint64 k and record-count fields of an order-3 TSC1 header.
-K_AT, RECORDS_AT = 30, 38
+# Offsets of the uint64 k and record-count fields of an order-3 TSC1 header,
+# and of its n3.
+K_AT, RECORDS_AT, N3_AT = 30, 38, 22
 
 
 def with_field(blob, offset, value):
@@ -575,3 +577,74 @@ class TestCompressedFile:
         fileio.compressed_from_bytes(blob)
         with pytest.raises(FormatError):
             fileio.compressed_from_bytes(corrupt(blob))
+
+    def test_decoded_size_bound(self, monkeypatch):
+        """A tsvd file does not grow with the trailing extents, so its header
+        alone may not ask for a decoded tensor larger than physical memory."""
+        m = np.random.default_rng(4).standard_normal((6, 5, 4))
+        blob = fileio.compressed_to_bytes(compression.compress(m, "tsvd", 5), m.shape)
+        monkeypatch.setattr(fileio, "_DECODE_LIMIT", 8 * m.size)
+        fileio.compressed_from_bytes(blob)
+        with pytest.raises(FormatError, match="decode to 1200 bytes, more than physical memory"):
+            fileio.compressed_from_bytes(with_field(blob, N3_AT, 5))
+        monkeypatch.setattr(fileio, "_DECODE_LIMIT", 2**30)
+        with pytest.raises(FormatError, match="decode to 240000000000 bytes"):
+            fileio.compressed_from_bytes(with_field(blob, N3_AT, 10**9))
+
+
+def _blobs():
+    """TSC1 blobs of every method at orders 3 and 4 (the order-4 shape has a
+    mirrored slice), then TSR1 blobs at orders 3 and 4."""
+    rng = np.random.default_rng(40)
+    tsc, tsr = [], []
+    for dims in ((6, 5, 4), (4, 3, 4, 3)):
+        m = rng.standard_normal(dims)
+        for method, k in (("svd", 2), ("tsvd", 7), ("tsvd_tubal", 2)):
+            tsc.append(fileio.compressed_to_bytes(compression.compress(m, method, k), dims))
+        tsr.append(fileio.tensor_to_bytes(m))
+    return tsc, tsr
+
+
+TSC_BLOBS, TSR_BLOBS = _blobs()
+
+
+@st.composite
+def mutated(draw, blobs):
+    """One blob with one byte changed, cut short, or extended; a changed byte
+    lies in the first 64 bytes, which hold the headers, half of the time."""
+    blob = draw(st.sampled_from(blobs))
+    how = draw(st.sampled_from(["byte", "truncate", "extend"]))
+    if how == "extend":
+        return blob + draw(st.binary(min_size=1, max_size=16))
+    if how == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    at = draw(st.integers(0, min(len(blob), 64) - 1) | st.integers(0, len(blob) - 1))
+    value = draw(st.integers(0, 255).filter(lambda v: v != blob[at]))
+    return blob[:at] + bytes([value]) + blob[at + 1:]
+
+
+@pytest.mark.filterwarnings("error")
+class TestByteMutations:
+    """A damaged file decodes or raises the documented error, never another
+    exception or a warning.  The decoded-size bound is lowered to 4 MiB, so
+    that what decodes stays small; a decode that escapes the bound is caught
+    by running this class under an address-space cap (see the CI workflow)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(blob=mutated(TSC_BLOBS))
+    def test_tsc1(self, blob):
+        with mock.patch.object(fileio, "_DECODE_LIMIT", 2**22):
+            try:
+                compression.decode_payload(*fileio.compressed_from_bytes(blob))
+            except (FormatError, NumericalError):
+                # NumericalError: finite scalars that overflow when multiplied out.
+                pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=mutated(TSR_BLOBS))
+    def test_tsr1(self, blob):
+        try:
+            fileio.tensor_from_bytes(blob)
+        except (FormatError, DataError):
+            # DataError: a payload byte that makes an entry non-finite.
+            pass

@@ -14,17 +14,20 @@ unfolding again has full rank.
 
 The images are the first draws of ``default_rng(0)``; nothing is tuned.
 
-Completion uses the grey video.  The masks keep the entries whose draw from
+Completion uses both videos.  The masks keep the entries whose draw from
 ``default_rng(1)`` falls below the observed share, so the 30% mask lies
 inside the 50% one.  Matrix completion is ``complete`` on the frames-as-columns
-unfolding, the ``1200 x 40 x 1`` F-order reshape of video and mask: with a
-single trailing extent the t-SVD is the matrix SVD, so the same solver is
-singular value thresholding of the ``1200 x 40`` matrix.  That matrix has
-full rank, since its columns are all 40 shifts of the image, so a low-rank
-matrix model cannot fill it in, while the tensor has tubal rank 1.  Both
-solves use ``rho=0.01``, the fastest to converge here; the gap is above
-120 dB at ``rho`` 0.003, 0.1 and 1 as well.
+unfolding, the F-order reshape of video and mask to ``1200 x 40 x 1`` (grey)
+or ``1200 x 120 x 1`` (colour): with a single trailing extent the t-SVD is
+the matrix SVD, so the same solver is singular value thresholding of the
+unfolding.  That matrix has full rank, since its columns are all 40 shifts
+of each image, so a low-rank matrix model cannot fill it in, while the
+tensor has tubal rank 1.  Both solves use ``rho=0.01``, the fastest to
+converge on the grey video; there the gap is above 120 dB at ``rho`` 0.003,
+0.1 and 1 as well.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -69,13 +72,14 @@ def test_tubal_compression_beats_svd_by_100_db(video):
     assert errors["tsvd_tubal"] < errors["svd"] - 100.0
 
 
+@pytest.mark.parametrize("video", [grey_video, colour_video], ids=["order3", "order4"])
 @pytest.mark.parametrize("observed", [0.3, 0.5])
-def test_tensor_completion_beats_matrix_completion_by_100_db(observed):
-    m = grey_video()
+def test_tensor_completion_beats_matrix_completion_by_100_db(video, observed):
+    m = video()
     mask = np.random.default_rng(1).random(m.shape) < observed
     config = AdmmConfig(rho=0.01)
     tensor, _ = complete(np.where(mask, m, 0.0), mask, config)
-    flat = (m.shape[0] * m.shape[1], m.shape[2], 1)
+    flat = (m.shape[0] * m.shape[1], math.prod(m.shape[2:]), 1)
     matrix, _ = complete(
         np.where(mask, m, 0.0).reshape(flat, order="F"), mask.reshape(flat, order="F"), config
     )

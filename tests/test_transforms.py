@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 from tsvdkit import completion, transforms
 from tsvdkit.synthesis import random_low_tubal_rank
 from tsvdkit.errors import DataError, DimensionError, NumericalError
+
+from admm_reference import _plane_partners
 
 small_tensors = hnp.arrays(
     dtype=np.float64,
@@ -161,6 +165,37 @@ class TestPartnerMap:
                 stored = half[:, :, source[lin]]
                 want = stored if lin // stride <= shape[-1] // 2 else stored.conj()
                 assert np.allclose(full[:, :, lin], want, atol=1e-12)
+
+
+class TestLayoutTable:
+    """The cached layout against the per-call derivations it replaced, for
+    every trailing shape with extents 1-6 at orders 3-5."""
+
+    SHAPES = [t for order in (3, 4, 5) for t in itertools.product(range(1, 7), repeat=order - 2)]
+
+    @staticmethod
+    def full_slice_sources(trailing):
+        k = np.indices(trailing).reshape(len(trailing), -1, order="F")
+        mirrored = np.stack([(-kk) % n for kk, n in zip(k, trailing)])
+        half = trailing[:-1] + (trailing[-1] // 2 + 1,)
+        source = np.where(k[-1] < half[-1], k, mirrored)
+        return np.ravel_multi_index(source, half, order="F")
+
+    def test_matches_per_call_derivation(self):
+        for trailing in self.SHAPES:
+            in_plane, partner = _plane_partners(trailing)
+            own = np.arange(partner.size)
+            weights = transforms.slice_weights(trailing)
+            real = transforms.real_slices(trailing)
+            mirrored = transforms.mirrored_slices(trailing)
+            assert weights.dtype == np.float64
+            assert weights.tolist() == np.where(in_plane, 1.0, 2.0).tolist()
+            assert real.tolist() == (in_plane & (partner == own)).tolist()
+            assert mirrored.tolist() == (partner < own).tolist()
+            assert not any(a.flags.writeable for a in (weights, real, mirrored))
+            values = 10 * own + 3
+            want = values[self.full_slice_sources(trailing)]
+            assert transforms.full_slices(values, trailing).tolist() == want.tolist()
 
 
 class TestSvdSlices:

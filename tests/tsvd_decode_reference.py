@@ -11,7 +11,8 @@ from tsvdkit.errors import DimensionError, FormatError
 
 def decode_tsvd_reference(dims, k, scalars, meta) -> np.ndarray:
     """Real reconstruction from ``k`` uniform ``(1 + n1 + n2)``-real records,
-    one ``np.outer`` per record, a pair completed by its second half."""
+    one ``np.outer`` per record, a pair completed by the ``PAIR_IM`` record
+    that directly follows its ``PAIR_RE``."""
     dims = tuple(int(d) for d in dims)
     n1, n2 = dims[:2]
     if len(meta) != k:
@@ -20,7 +21,7 @@ def decode_tsvd_reference(dims, k, scalars, meta) -> np.ndarray:
     real = transforms.real_slices(dims[2:])
     mirrored = transforms.mirrored_slices(dims[2:])
     stack = np.zeros((real.size, n1, n2), dtype=np.complex128)
-    pending = {}
+    opened = None  # the parts of a PAIR_RE record whose PAIR_IM comes next
     for unit, (kind, j, i) in enumerate(meta):
         row = scalars[unit * width: (unit + 1) * width]
         scalar, u_part, v_part = float(row[0]), row[1: 1 + n1], row[1 + n1:]
@@ -36,19 +37,14 @@ def decode_tsvd_reference(dims, k, scalars, meta) -> np.ndarray:
             )
         if kind in (SELF, HALF):
             stack[j] += scalar * np.outer(u_part, v_part)
-        elif (j, i) not in pending:
-            pending[(j, i)] = (kind, u_part, v_part)
+        elif kind == PAIR_RE and unit + 1 < len(meta) and tuple(meta[unit + 1]) == (PAIR_IM, j, i):
+            opened = (u_part, v_part)
+        elif kind == PAIR_IM and opened is not None:
+            (re_u, re_v), opened = opened, None
+            stack[j] += scalar * np.outer(re_u + 1j * u_part, (re_v + 1j * v_part).conj())
         else:
-            other_kind, other_u, other_v = pending.pop((j, i))
-            if other_kind == kind:
-                raise FormatError(f"tsvd payload has two records of kind {kind} for (slice {j}, diag {i})")
-            if kind == PAIR_IM:
-                u = other_u + 1j * u_part
-                v = other_v + 1j * v_part
-            else:
-                u = u_part + 1j * other_u
-                v = v_part + 1j * other_v
-            stack[j] += scalar * np.outer(u, v.conj())
-    if pending:
-        raise FormatError("unpaired pair-record in tsvd payload")
+            raise FormatError(
+                f"broken tsvd pair at record {unit} (kind {kind}, slice {j}, diag {i}): a PAIR_RE record "
+                f"must be directly followed by the PAIR_IM record of its (slice, diag)"
+            )
     return transforms.ifft_stack(stack, dims[2:])
