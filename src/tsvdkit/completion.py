@@ -299,8 +299,9 @@ def _shrink(stack: np.ndarray, tau: float, keep: int = 0, two_wide: bool = False
 
 
 class _RankAdaptiveShrink:
-    """The shrink step of one solve; once the iterate rank is small it
-    computes only the leading triplets of each slice.
+    """The shrink step of one solve, its threshold given per call; once the
+    iterate rank is small it computes only the leading triplets of each
+    slice.
 
     Between calls it keeps a right basis per slice, of width ``r +
     _OVERSAMPLE`` with ``r`` the rank of the last shrink, and factors the
@@ -321,22 +322,21 @@ class _RankAdaptiveShrink:
     batches being too small to gain from the handoffs.
     """
 
-    def __init__(self, tau: float, n1: int, n2: int):
-        self.tau = tau
+    def __init__(self, n1: int, n2: int):
         self.max_width = min(n1, n2) // 2
         self.basis: list[np.ndarray] | None = None
         self.rng = np.random.default_rng(0)
         self.two_wide = _shrink_two_wide(n1, n2)
 
-    def __call__(self, stack: np.ndarray):
-        """svt on every slice of a contiguous complex128 stack, in place;
-        returns the thresholded singular values (one row per slice) and the
-        rank, as :func:`_shrink` does."""
-        factors = None if self.basis is None else self._partial(stack)
+    def __call__(self, stack: np.ndarray, tau: float):
+        """svt with threshold ``tau`` on every slice of a contiguous
+        complex128 stack, in place; returns the thresholded singular values
+        (one row per slice) and the rank, as :func:`_shrink` does."""
+        factors = None if self.basis is None else self._partial(stack, tau)
         if factors is None:
-            shrunk, rank, vhs = _shrink(stack, self.tau, self.max_width, self.two_wide)
+            shrunk, rank, vhs = _shrink(stack, tau, self.max_width, self.two_wide)
         else:
-            rank = max(_write(stack[batch], *f, self.tau) for batch, f in zip(_batches(len(stack)), factors))
+            rank = max(_write(stack[batch], *f, tau) for batch, f in zip(_batches(len(stack)), factors))
             shrunk = np.concatenate([s for _, s, _ in factors])
             vhs = [vh for _, _, vh in factors]
             del factors  # the u factors, before the next basis is made
@@ -344,7 +344,7 @@ class _RankAdaptiveShrink:
         self.basis = [self._basis(vh, width) for vh in vhs] if width <= self.max_width else None
         return shrunk, rank
 
-    def _partial(self, stack: np.ndarray):
+    def _partial(self, stack: np.ndarray, tau: float):
         """Partial factors ``(u, s, vh)`` of every batch, once every slice
         passes the SVT check, or None when the basis would grow past
         ``max_width``.  A batch's basis is dropped once it is factored."""
@@ -355,7 +355,7 @@ class _RankAdaptiveShrink:
             for i, batch in enumerate(_batches(len(stack))):
                 factors.append(transforms.partial_svd_slices(stack[batch], basis[i]))
                 basis[i] = None
-            if all((s[:, -1] <= self.tau).all() for _, s, _ in factors):
+            if all((s[:, -1] <= tau).all() for _, s, _ in factors):
                 return factors
             if width > self.max_width:
                 return None
@@ -443,7 +443,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
     tnn_values: list[float] = []
     ranks: list[int] = []
     converged = False
-    shrink = _RankAdaptiveShrink(tau, *y.shape[:2])
+    shrink = _RankAdaptiveShrink(*y.shape[:2])
 
     for it in range(1, cfg.max_iter + 1):
         np.subtract(z, q, out=x)
@@ -459,7 +459,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         with np.errstate(over="ignore", invalid="ignore"):
             spectrum = transforms.fft_mode3(q, out=spectrum)
         stack = transforms.to_stack(spectrum)
-        shrunk, rank = shrink(stack)
+        shrunk, rank = shrink(stack, tau)
         transforms.ifft_stack(stack, trailing, out=z)
         np.subtract(q, z, out=q)
         if not np.isfinite(q).all():

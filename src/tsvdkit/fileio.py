@@ -33,13 +33,12 @@ import numpy as np
 
 from .compression import CompressionResult, stored_count_for
 from .errors import DataError, DimensionError, FormatError, InfeasibleError
-from .transforms import check_dims
+from .transforms import check_dims, check_fits
 
 TENSOR_MAGIC = b"TSR1"
 COMPRESSED_MAGIC = b"TSC1"
 _METHOD_TAGS = {"svd": 1, "tsvd": 2, "tsvd_tubal": 3}
 _TAG_METHODS = {tag: name for name, tag in _METHOD_TAGS.items()}
-_DECODE_LIMIT = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # physical memory, bytes
 
 
 # Values the writer converts at a time: a write holds this one buffer (4 MiB),
@@ -317,9 +316,8 @@ def compressed_from_bytes(data: bytes):
     *dims, k, n_records, n_scalars = struct.unpack_from(f"<{order + 3}Q", data, 6)
     dims = tuple(dims)
     method = _TAG_METHODS[tag]
-    if 8 * math.prod(dims) > _DECODE_LIMIT:
-        raise FormatError(f"dims {dims} decode to {8 * math.prod(dims)} bytes, more than physical memory")
     try:
+        check_fits(dims, "decoded tensor")
         expected = stored_count_for(method, dims, k)
     except (DimensionError, InfeasibleError) as exc:
         raise FormatError(f"bad compressed header: {exc}") from exc

@@ -6,7 +6,7 @@ import numpy as np
 
 from .algebra import t_product
 from .errors import InfeasibleError
-from .transforms import check_dims, seeded_rng
+from .transforms import check_dims, check_fits, seeded_rng
 
 
 def random_low_tubal_rank(dims, rank: int, seed: int) -> np.ndarray:
@@ -14,9 +14,11 @@ def random_low_tubal_rank(dims, rank: int, seed: int) -> np.ndarray:
     ``rank``, giving tubal rank ``rank`` almost surely.
 
     Deterministic for a given seed, a nonnegative integer; ``rank == 0``
-    yields the zero tensor.
+    yields the zero tensor.  Dims too large for physical memory raise
+    ``DimensionError`` before anything is allocated.
     """
     dims = check_dims(dims)
+    check_fits(dims)
     n1, n2 = dims[:2]
     trailing = dims[2:]
     if not 0 <= rank <= min(n1, n2):

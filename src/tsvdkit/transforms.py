@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,18 @@ def check_dims(shape, name: str = "tensor") -> tuple[int, ...]:
     if min(dims) < 1:
         raise DimensionError(f"{name} has a zero extent: {dims}")
     return dims
+
+
+_MEMORY_LIMIT = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # physical memory, bytes
+
+
+def check_fits(dims, name: str = "tensor") -> None:
+    """Raise ``DimensionError`` if a float64 tensor with extents ``dims``
+    takes more bytes than physical memory; made before anything is
+    allocated from extents that a caller or a file header gives."""
+    size = 8 * math.prod(dims)
+    if size > _MEMORY_LIMIT:
+        raise DimensionError(f"{name} {tuple(dims)} takes {size} bytes, more than physical memory")
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -216,22 +229,6 @@ def ifft_stack(stack: np.ndarray, trailing_dims, out: np.ndarray | None = None) 
     return ifft_mode3(from_stack(stack, _half_dims(trailing_dims)), trailing_dims, out=out)
 
 
-def _select(mask: np.ndarray):
-    """The slices a per-slice mask picks: a ``slice`` when they are
-    consecutive, so that indexing a stack with it gives a view, not a copy."""
-    idx = np.flatnonzero(mask)
-    if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return slice(idx[0], idx[-1] + 1)
-    return idx
-
-
-def _join(real, complex_, from_real: np.ndarray, from_complex: np.ndarray) -> np.ndarray:
-    out = np.empty((len(from_real) + len(from_complex),) + from_complex.shape[1:], dtype=from_complex.dtype)
-    out[real] = from_real
-    out[complex_] = from_complex
-    return out
-
-
 def check_finite(stack: np.ndarray) -> None:
     """Raise ``NumericalError`` if a spectral stack holds a non-finite entry:
     the forward transform overflowed."""
@@ -239,25 +236,17 @@ def check_finite(stack: np.ndarray) -> None:
         raise NumericalError("spectral slices are not finite; the transform overflowed")
 
 
-def _as_complex_factors(factors, ndim: int):
-    """Factors of real slices as a join with complex ones returns them: the
-    matrices, of the stack's order, complex; singular values real."""
-    if isinstance(factors, np.ndarray):
-        return factors
-    return tuple(f.astype(np.complex128, order="C") if f.ndim == ndim else f for f in factors)
-
-
 def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
-    """Apply a batched factorization to the real and to the complex slices of
-    a spectral stack, and join its outputs slice by slice.
+    """Apply a batched factorization to a spectral stack, one maximal run of
+    consecutive slices of one kind at a time, and write its outputs slice by
+    slice.
 
-    ``per_slice`` operands are split along with the slices; a real slice gets
-    their real part.  A slice whose imaginary part is exactly zero is factored
-    as a real matrix, so its factors are real.  A run of consecutive slices
-    is factored in place; only scattered ones are copied out.  A stack with
-    no real slice is factored whole, with nothing to join, and one with no
-    complex slice is factored as one real stack, its matrix factors cast to
-    complex128 as a join would cast them.
+    A slice whose imaginary part is exactly zero is real.  Each run is
+    factored in place, as a view of the stack, with the same view of each
+    ``per_slice`` operand; a real run is factored from ``.real`` views, so
+    its factors are real.  A stack with no real slice is one run, and its
+    factors are returned as ``factor`` gives them; any other stack's are
+    written once into complex128 matrix factors and float64 singular values.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     check_finite(stack)
@@ -265,29 +254,34 @@ def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
     # complex; only the other slices are scanned whole.
     is_real = ~stack.imag[:, :1, :].any(axis=(1, 2))
     is_real[is_real] = ~stack.imag[is_real].any(axis=(1, 2))
-    real, complex_ = _select(is_real), _select(~is_real)
     try:
         if not is_real.any():
             return factor(stack, *per_slice)
-        from_real = factor(stack[real].real, *(op[real].real for op in per_slice))
-        if is_real.all():
-            return _as_complex_factors(from_real, stack.ndim)
-        from_complex = factor(stack[complex_], *(op[complex_] for op in per_slice))
+        edges = [0, *(np.flatnonzero(np.diff(is_real)) + 1).tolist(), len(stack)]
+        for lo, hi in zip(edges, edges[1:]):
+            run = slice(lo, hi)
+            got = factor(*(a[run].real if is_real[lo] else a[run] for a in (stack, *per_slice)))
+            parts = (got,) if isinstance(got, np.ndarray) else got
+            if lo == 0:  # the first run gives the outputs their shapes
+                out = [np.empty(stack.shape[:1] + p.shape[1:], np.complex128 if p.ndim == stack.ndim else np.float64)
+                       for p in parts]
+            for o, p in zip(out, parts):
+                o[run] = p
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
-    if isinstance(from_complex, np.ndarray):
-        return _join(real, complex_, from_real, from_complex)
-    return tuple(_join(real, complex_, r, c) for r, c in zip(from_real, from_complex))
+    return out[0] if isinstance(got, np.ndarray) else tuple(out)
 
 
 def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     """SVD of every slice of a ``(slices, n1, n2)`` spectral stack.
 
     Returns what ``numpy.linalg.svd`` returns for the stack: ``(u, s, vh)``
-    with ``u`` and ``vh`` complex, or ``s`` alone.  A slice whose imaginary
-    part is exactly zero is factored as a real matrix, so its factors are
-    real; :func:`fft_mode3` makes every real slice exactly real.  An all-zero
-    slice gets identity factors.
+    with ``u`` and ``vh`` complex, or ``s`` alone.  Each run of consecutive
+    slices of one kind is factored in place, as a view of the stack
+    (:func:`_factor_slices`), so no slice is copied out.  A slice whose
+    imaginary part is exactly zero is factored as a real matrix, so its
+    factors have a zero imaginary part; :func:`fft_mode3` makes every real
+    slice exactly real.  An all-zero slice gets identity factors.
 
     Raises
     ------

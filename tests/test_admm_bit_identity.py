@@ -114,10 +114,10 @@ def test_basis_growth_matches_reference():
     reference = admm_reference._RankAdaptiveShrink(tau, 24, 24)
     reference.basis = narrow
     out_ref, shrunk_ref, rank_ref = reference(stack.copy())
-    shrink = completion._RankAdaptiveShrink(tau, 24, 24)
+    shrink = completion._RankAdaptiveShrink(24, 24)
     shrink.basis = [narrow[batch] for batch in completion._batches(len(stack))]
     out = stack.copy()
-    shrunk, rank = shrink(out)
+    shrunk, rank = shrink(out, tau)
     assert rank == rank_ref == 6
     assert shrunk_ref.shape[1] == 8 and reference.basis.shape[2] == 11
     assert out.tobytes() == out_ref.tobytes()

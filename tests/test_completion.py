@@ -143,10 +143,10 @@ class TestRankAdaptiveShrink:
 
     @staticmethod
     def partial_shrink(stack, tau, basis):
-        shrink = completion._RankAdaptiveShrink(tau, *stack.shape[1:])
+        shrink = completion._RankAdaptiveShrink(*stack.shape[1:])
         shrink.basis = [basis[batch] for batch in completion._batches(len(stack))]
         out = stack.copy()
-        shrunk, rank = shrink(out)
+        shrunk, rank = shrink(out, tau)
         return out, shrunk, rank
 
     @staticmethod

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from coordinate_mask_reference import read_coordinate_mask_reference
 from pgm_reference import read_pgm_reference
-from tsvdkit import compression, fileio
+from tsvdkit import compression, fileio, transforms
 from tsvdkit.errors import DataError, DimensionError, FormatError, NumericalError
 
 
@@ -583,12 +583,12 @@ class TestCompressedFile:
         alone may not ask for a decoded tensor larger than physical memory."""
         m = np.random.default_rng(4).standard_normal((6, 5, 4))
         blob = fileio.compressed_to_bytes(compression.compress(m, "tsvd", 5), m.shape)
-        monkeypatch.setattr(fileio, "_DECODE_LIMIT", 8 * m.size)
+        monkeypatch.setattr(transforms, "_MEMORY_LIMIT", 8 * m.size)
         fileio.compressed_from_bytes(blob)
-        with pytest.raises(FormatError, match="decode to 1200 bytes, more than physical memory"):
+        with pytest.raises(FormatError, match=r"decoded tensor \(6, 5, 5\) takes 1200 bytes, more than physical memory"):
             fileio.compressed_from_bytes(with_field(blob, N3_AT, 5))
-        monkeypatch.setattr(fileio, "_DECODE_LIMIT", 2**30)
-        with pytest.raises(FormatError, match="decode to 240000000000 bytes"):
+        monkeypatch.setattr(transforms, "_MEMORY_LIMIT", 2**30)
+        with pytest.raises(FormatError, match="takes 240000000000 bytes"):
             fileio.compressed_from_bytes(with_field(blob, N3_AT, 10**9))
 
 
@@ -633,7 +633,7 @@ class TestByteMutations:
     @settings(max_examples=400, deadline=None)
     @given(blob=mutated(TSC_BLOBS))
     def test_tsc1(self, blob):
-        with mock.patch.object(fileio, "_DECODE_LIMIT", 2**22):
+        with mock.patch.object(transforms, "_MEMORY_LIMIT", 2**22):
             try:
                 compression.decode_payload(*fileio.compressed_from_bytes(blob))
             except (FormatError, NumericalError):

@@ -5,7 +5,7 @@ or a numpy warning (warnings are raised as errors here)."""
 import numpy as np
 import pytest
 
-from tsvdkit import algebra, compression, fileio, transforms
+from tsvdkit import algebra, compression, fileio, synthesis, transforms
 from tsvdkit.cli import main
 from tsvdkit.completion import complete, shrink_step
 from tsvdkit.decomposition import rank_measures, t_svd
@@ -59,3 +59,31 @@ def test_malformed_shape_raises_dimension_error(entry, shape):
 def test_cli_malformed_dims_exit_2(tmp_path, capsys, dims, why):
     assert main(["gen", dims, "--rank", "0", "--out", str(tmp_path / "g.tsr")]) == 2
     assert f"error: {why}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fails the test if a synthetic tensor's factors are drawn."""
+    monkeypatch.setattr(synthesis, "seeded_rng", lambda seed: pytest.fail("factors were drawn"))
+
+
+def test_dims_past_memory_raise_before_allocating(monkeypatch, no_draws):
+    """One bound for every tensor built from given extents: a float64 tensor
+    larger than physical memory is a ``DimensionError`` naming its byte size,
+    raised before anything is allocated (a rank-0 tensor would be
+    ``np.zeros``)."""
+    monkeypatch.setattr(transforms, "_MEMORY_LIMIT", 8 * 4 * 4 * 3 - 1)
+    with pytest.raises(DimensionError, match=r"tensor \(4, 4, 3\) takes 384 bytes, more than physical memory"):
+        random_low_tubal_rank((4, 4, 3), 0, 0)
+    monkeypatch.setattr(transforms, "_MEMORY_LIMIT", 8 * 4 * 4 * 3)
+    assert not random_low_tubal_rank((4, 4, 3), 0, 0).any()
+
+
+@pytest.mark.parametrize("dims", ["99999999999x99999999999x99999999", "4x4x3"])
+def test_cli_gen_past_memory_exits_2(tmp_path, capsys, monkeypatch, no_draws, dims):
+    monkeypatch.setattr(transforms, "_MEMORY_LIMIT", 8 * 4 * 4 * 3 - 1)
+    out = tmp_path / "g.tsr"
+    assert main(["gen", dims, "--rank", "1", "--out", str(out)]) == 2
+    size = 8 * np.prod([int(n) for n in dims.split("x")], dtype=object)
+    assert f"takes {size} bytes, more than physical memory" in capsys.readouterr().err
+    assert not out.exists()

@@ -251,6 +251,51 @@ class TestSvdSlices:
         completion.complete(np.where(mask, truth, 0.0), mask, completion.AdmmConfig(rho=0.02))
         assert shapes and all(shape[0] > 0 for shape in shapes)
 
+    def test_runs_are_factored_in_place(self, monkeypatch):
+        """At trailing extents (8, 5) the real slices 0 and 4 split the 24
+        stored slices into four runs.  Every array handed to a factorization
+        is a view of the stack (and of the basis), never a gathered copy, and
+        each slice gets the factors of its own SVD, as a real matrix when it
+        is real."""
+        stack = transforms.to_stack(transforms.fft_mode3(np.random.default_rng(10).standard_normal((5, 4, 8, 5))))
+        real = transforms.real_slices((8, 5))
+        assert np.flatnonzero(real).tolist() == [0, 4] and len(stack) == 24
+        basis = np.random.default_rng(11).standard_normal((24, 4, 3)) + 0j
+        shared = []
+        svd, range_svd = np.linalg.svd, transforms._range_svd
+
+        def recording_svd(a, *args, **kwargs):
+            shared.append(np.shares_memory(a, stack))
+            return svd(a, *args, **kwargs)
+
+        def recording_range_svd(a, v):
+            shared.append(np.shares_memory(a, stack) and np.shares_memory(v, basis))
+            return range_svd(a, v)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        u, s, vh = transforms.svd_slices(stack)
+        s_only = transforms.svd_slices(stack, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(transforms, "_range_svd", recording_range_svd)
+        partial = transforms.partial_svd_slices(stack, basis)
+        assert shared == [True] * 12
+        for j in range(24):
+            slice_ = stack[j].real if real[j] else stack[j]
+            for got, want in zip((u[j], s[j], vh[j]), svd(slice_)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(s_only[j], svd(slice_, compute_uv=False))
+            for got, want in zip(partial, range_svd(slice_[None], basis[j, None].real if real[j] else basis[j, None])):
+                assert np.array_equal(got[j], want[0])
+
+    @pytest.mark.parametrize("n1,n2", [(3, 2), (2, 3)])
+    def test_empty_stack(self, n1, n2):
+        stack = np.zeros((0, n1, n2), dtype=complex)
+        u, s, vh = transforms.svd_slices(stack)
+        assert u.shape == (0, n1, n1) and s.shape == (0, min(n1, n2)) and vh.shape == (0, n2, n2)
+        assert transforms.svd_slices(stack, compute_uv=False).shape == (0, min(n1, n2))
+        u, s, vh = transforms.partial_svd_slices(stack, np.zeros((0, n2, 1)))
+        assert u.shape == (0, n1, 1) and s.shape == (0, 1) and vh.shape == (0, 1, n2)
+
     def test_nonfinite_slices_rejected(self):
         stack = np.zeros((2, 3, 3), dtype=complex)
         stack[1, 0, 0] = np.inf

@@ -44,7 +44,7 @@ class TestMemoryBounds:
 
 
 def test_worker_follows_the_forced_rule(two_wide):
-    shrink = completion._RankAdaptiveShrink(1.0, 8, 8)
+    shrink = completion._RankAdaptiveShrink(8, 8)
     assert shrink.two_wide is two_wide
 
 
