@@ -35,7 +35,7 @@ def t_product(a, b) -> np.ndarray:
     ``(n1, n4, n3, ...)`` tensor whose ``(i, j)`` tube is
     ``sum_k a(i, k, :) conv b(k, j, :)``.  Computed by transforming both
     operands along the trailing modes, multiplying matching frontal slices,
-    and transforming back.
+    and transforming back.  An overflow raises ``NumericalError``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -51,7 +51,9 @@ def t_product(a, b) -> np.ndarray:
         )
     a_hat = transforms.to_stack(transforms.fft_mode3(a))
     b_hat = transforms.to_stack(transforms.fft_mode3(b))
-    return transforms.ifft_stack(a_hat @ b_hat, a.shape[2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_hat = a_hat @ b_hat
+    return transforms.check_finite(transforms.ifft_stack(c_hat, a.shape[2:]), "t-product entries")
 
 
 def transpose(a) -> np.ndarray:

@@ -30,7 +30,6 @@ from .algebra import frobenius
 from .errors import (
     DataError,
     DimensionError,
-    DivergenceError,
     InfeasibleError,
     NumericalError,
     TsvdkitError,
@@ -271,7 +270,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DivergenceError, NumericalError) as exc:
+    except NumericalError as exc:  # DivergenceError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (TsvdkitError, OSError) as exc:

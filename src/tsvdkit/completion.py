@@ -31,7 +31,6 @@ from .errors import (
     DataError,
     DimensionError,
     DivergenceError,
-    NumericalError,
     UndefinedMetricError,
 )
 
@@ -89,11 +88,11 @@ def svt(w, tau: float) -> np.ndarray:
 
     Raises
     ------
+    DataError
+        If ``tau`` is negative or NaN.
     NumericalError
-        If ``w`` holds a non-finite entry or its SVD fails to converge.
+        If ``w`` or a singular value is not finite, or the SVD fails.
     """
-    if tau < 0:
-        raise DataError(f"threshold must be nonnegative, got {tau}")
     w = np.asarray(w)
     if w.ndim != 2:
         raise DimensionError(f"svt expects a matrix, got order {w.ndim}")
@@ -250,8 +249,9 @@ def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau
     np.maximum(s, 0.0, out=s)
     rank = int(np.count_nonzero(s, axis=1).max())
     u = u[:, :, :rank]
-    u *= s[:, None, :rank]
-    np.matmul(u, vh[:, :rank, :], out=slices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u *= s[:, None, :rank]
+        np.matmul(u, vh[:, :rank, :], out=slices)
     return rank
 
 
@@ -263,13 +263,12 @@ def _shrink(stack: np.ndarray, tau: float, keep: int = 0, two_wide: bool = False
     Returns the thresholded singular values (one row per slice), the rank
     (the largest per-slice count of ``sigma > tau``), and, one array per
     batch, the leading ``keep`` right singular vectors of its slices, or
-    None when the rank is above ``keep - _OVERSAMPLE``.
+    None when the rank is above ``keep - _OVERSAMPLE``.  A threshold that
+    is not ``>= 0`` (NaN) raises ``DataError``; an infinite one gives 0.
     """
+    if not tau >= 0:
+        raise DataError(f"threshold must be nonnegative, got {tau}")
     count, n1, n2 = stack.shape
-    if two_wide:
-        # The loop raises at the first batch that is not finite before it
-        # factors a later one, whose product could warn of the overflow.
-        transforms.check_finite(stack)
     shrunk = np.empty((count, min(n1, n2)))
     batches = _batches(count)
     # Two-wide, each batch is factored in halves, which the two threads may
@@ -381,8 +380,6 @@ def shrink_step(w_hat, tau: float) -> np.ndarray:
     """
     w_hat = np.asarray(w_hat, dtype=np.complex128)
     transforms.check_dims(w_hat.shape, "spectrum")
-    if tau < 0:
-        raise DataError(f"threshold must be nonnegative, got {tau}")
     stack = np.array(transforms.to_stack(w_hat), order="C")
     _shrink(stack, tau)
     return transforms.from_stack(stack, w_hat.shape[2:])
@@ -412,8 +409,8 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
     Raises
     ------
     NumericalError
-        If the transformed iterate is not finite (it overflowed) or a slice
-        SVD fails to converge.
+        If the transformed iterate, a singular value or the reported TNN is
+        not finite (it overflowed), or a slice SVD fails to converge.
     DivergenceError
         If an iterate stops being finite; carries the iteration index.
     """
@@ -454,10 +451,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         # dual update x + q - z, which is non-finite exactly when z or the
         # update is.
         np.add(q, x, out=q)
-        # An overflowing transform is caught by the shrink step's finiteness
-        # check, as a NumericalError, not as a numpy warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            spectrum = transforms.fft_mode3(q, out=spectrum)
+        spectrum = transforms.fft_mode3(q, out=spectrum)
         stack = transforms.to_stack(spectrum)
         shrunk, rank = shrink(stack, tau)
         transforms.ifft_stack(stack, trailing, out=z)
@@ -468,7 +462,9 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
             )
         residual = frobenius(np.subtract(x, z, out=_scratch(stack, y.shape))) / max(1.0, frobenius(x))
         residuals.append(residual)
-        tnn_values.append(float(shrunk.sum(axis=1) @ weights))
+        with np.errstate(over="ignore"):
+            tnn = shrunk.sum(axis=1) @ weights
+        tnn_values.append(float(transforms.check_finite(tnn, "tensor nuclear norms")))
         ranks.append(rank)
         if residual <= cfg.tol_primal:
             converged = True

@@ -38,7 +38,7 @@ from . import transforms
 from .algebra import check_tensor
 from .completion import rse_db
 from .decomposition import t_svd
-from .errors import DimensionError, FormatError, InfeasibleError, NumericalError
+from .errors import DimensionError, FormatError, InfeasibleError
 
 METHODS = ("svd", "tsvd", "tsvd_tubal")
 
@@ -130,8 +130,8 @@ def k_for_ratio(method: str, dims, target_ratio: float) -> int:
 def _check_k(method: str, dims, k: int) -> int:
     """Scalars stored per unit of k, once k is checked against its range."""
     per_k, top = _costs(method, dims)
-    if not 1 <= k <= top:
-        raise InfeasibleError(f"k={k} outside [1, {top}] for method {method} on dims {tuple(dims)}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= top:
+        raise InfeasibleError(f"k={k} is not an integer in [1, {top}] for method {method} on dims {tuple(dims)}")
     return per_k
 
 
@@ -191,8 +191,7 @@ def _result(m, method: str, k: int, payload, meta, recon) -> CompressionResult:
 def _svd_step(m, top_k):
     """Rank-k truncated SVD of the slice-vectorized unfolding."""
     u, s, vh = np.linalg.svd(m.reshape(m.shape[0] * m.shape[1], -1, order="F"), full_matrices=False)
-    if not np.isfinite(s).all():
-        raise NumericalError("singular values of the unfolding are not finite; they overflowed")
+    transforms.check_finite(s, "singular values of the unfolding")
 
     def step(k):
         return [np.ascontiguousarray(a) for a in (u[:, :k], s[:k], vh[:k, :].T)], []
@@ -263,10 +262,8 @@ def _tsvd_tubal_step(m, top_k):
     factors = t_svd(m)
     u, v = (transforms.ifft_stack(a[:, :, :top_k], m.shape[2:]) for a in (factors.u_hat, factors.v_hat))
     # The diagonal tubes of factors.s, without the dense n1 x n2 x n3 tensor.
-    with np.errstate(over="ignore", invalid="ignore"):
-        tubes = transforms.ifft_stack(factors.sig_hat[:, None, :top_k], m.shape[2:])[0]
-    if not np.isfinite(tubes).all():
-        raise NumericalError("singular tubes are not finite; the inverse transform overflowed")
+    tubes = transforms.ifft_stack(factors.sig_hat[:, None, :top_k], m.shape[2:])[0]
+    transforms.check_finite(tubes, "singular tubes")
 
     def step(k):
         return [np.ascontiguousarray(a) for a in (u[:, :k, :], tubes[:k], v[:, :k, :])], []
@@ -365,9 +362,7 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
         raise DimensionError(f"payload holds {scalars.size} scalars, expected {expected}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _decode(method, dims, k, scalars, meta)
-    if not np.isfinite(out).all():
-        raise NumericalError("decoded tensor is not finite: the payload overflows or holds non-finite scalars")
-    return out
+    return transforms.check_finite(out, "decoded entries")
 
 
 def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:

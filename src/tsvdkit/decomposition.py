@@ -16,7 +16,7 @@ import numpy as np
 
 from . import transforms
 from .algebra import check_tensor
-from .errors import DataError, DimensionError, NumericalError
+from .errors import DataError, DimensionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +55,11 @@ class TSvdFactors:
     @property
     def s(self) -> np.ndarray:
         """f-diagonal middle factor, shape ``(n1, n2, n3, ...)``; built from
-        ``sig_hat`` on each access."""
+        ``sig_hat`` on each access; ``NumericalError`` if a tube overflows."""
         n0 = self.sig_hat.shape[1]
         out = np.zeros(self.dims)
-        out[np.arange(n0), np.arange(n0)] = transforms.ifft_stack(self.sig_hat[:, None, :], self.dims[2:])[0]
+        tubes = transforms.ifft_stack(self.sig_hat[:, None, :], self.dims[2:])[0]
+        out[np.arange(n0), np.arange(n0)] = transforms.check_finite(tubes, "singular tubes")
         return out
 
     def sigmas(self) -> np.ndarray:
@@ -84,18 +85,6 @@ class TSvdFactors:
         return truncate(self, min(self.dims[0], self.dims[1]))
 
 
-def _slice_svds(m: np.ndarray, compute_uv: bool = True):
-    """:func:`transforms.svd_slices` of the half spectrum of ``m``.  An
-    overflowing transform or singular value raises ``NumericalError``, not a
-    numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        stack = transforms.to_stack(transforms.fft_mode3(m))
-    factors = transforms.svd_slices(stack, compute_uv=compute_uv)
-    if not np.isfinite(factors[1] if compute_uv else factors).all():
-        raise NumericalError("spectral singular values are not finite; they overflowed")
-    return factors
-
-
 def t_svd(m) -> TSvdFactors:
     """Factor a real tensor of order >= 3 into orthogonal-by-f-diagonal form.
 
@@ -110,7 +99,7 @@ def t_svd(m) -> TSvdFactors:
         (they overflowed), or a slice SVD fails to converge.
     """
     m = check_tensor(m, name="t_svd input")
-    u_hat, sig_hat, vh_hat = _slice_svds(m)
+    u_hat, sig_hat, vh_hat = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)))
     v_hat = vh_hat.conj().swapaxes(1, 2)
     for arr in (u_hat, sig_hat, v_hat):
         arr.setflags(write=False)
@@ -124,13 +113,15 @@ def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
     ``sum_{i<=k} u(:, i, :) * s(i, i, :) * transpose(v(:, i, :))``.  The
     discarded spectral energy identity
     ``|m - m_k|_F^2 == sum of discarded sigma^2 / rho`` holds to rounding.
+    A ``k`` that is not an integer in ``[1, min(n1, n2)]`` raises
+    ``DimensionError``, and an overflow ``NumericalError``.
     """
     n0 = min(factors.dims[0], factors.dims[1])
-    if not 1 <= k <= n0:
-        raise DimensionError(f"truncation index {k} outside [1, {n0}]")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n0:
+        raise DimensionError(f"truncation index must be an integer in [1, {n0}], got {k}")
     u = factors.u_hat[:, :, :k] * factors.sig_hat[:, None, :k]
     vh = factors.v_hat[:, :, :k].conj().swapaxes(1, 2)
-    return transforms.ifft_stack(u @ vh, factors.dims[2:])
+    return transforms.check_finite(transforms.ifft_stack(u @ vh, factors.dims[2:]), "truncation entries")
 
 
 def rank_measures(m, tol: float = 1e-8) -> dict:
@@ -140,18 +131,21 @@ def rank_measures(m, tol: float = 1e-8) -> dict:
         raise DataError(f"tol must be nonnegative and finite, got {tol}")
     m = check_tensor(m)
     trailing = m.shape[2:]
-    sig = _slice_svds(m, compute_uv=False).T
+    sig = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)), compute_uv=False).T
     weights = transforms.slice_weights(trailing)
     top = sig.max(initial=0.0) or 1.0
     # l2 norms of the singular tubes, by Parseval over the full spectrum,
     # squared over the largest value so that no square leaves the float range.
-    tube_norms = top * np.sqrt((sig / top) ** 2 @ weights / weights.sum())
+    with np.errstate(over="ignore"):
+        tube_norms = top * np.sqrt((sig / top) ** 2 @ weights / weights.sum())
+        tnn, ttn = sig.sum(axis=0) @ weights, tube_norms.sum()
+    transforms.check_finite(np.array([tnn, ttn]), "tensor norms")
     ranks = (sig > tol * top).sum(axis=0).astype(np.int64)
     return {
         "multi_rank": transforms.full_slices(ranks, trailing),
         "tubal_rank": int((tube_norms > tol * tube_norms.max(initial=0.0)).sum()),
-        "tnn": float(sig.sum(axis=0) @ weights),
-        "ttn": float(tube_norms.sum()),
+        "tnn": float(tnn),
+        "ttn": float(ttn),
     }
 
 

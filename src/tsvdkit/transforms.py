@@ -22,6 +22,10 @@ spectrum, and only ``_cached_layout`` derives the conjugate map behind it:
 
 Under this convention ``|a|_F^2 = sum_j w_j |a_hat_j|_F^2 / rho`` with ``w``
 the slice weights and ``rho`` the product of the trailing extents.
+
+Overflow is never a numpy warning: the transforms and the slice
+factorizations let it come out non-finite, and :func:`check_finite` reports
+it as a ``NumericalError``, here for every singular value factored.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ def fft_mode3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         stack = np.empty((layout.real.size,) + arr.shape[:2], dtype=np.complex128)
         out = from_stack(stack, _half_dims(arr.shape[2:]))
-    np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)), out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)), out=out)
     # The complex passes over modes 3..N-1 can leave rounding in the
     # imaginary part of a real slice; clearing it lets svd_slices factor the
     # slice as a real matrix.
@@ -194,7 +199,8 @@ def ifft_mode3(a_hat: np.ndarray, trailing_dims, out: np.ndarray | None = None) 
         merged = merge_trailing(arr).copy()
         merged[:, :, layout.mirrored] = merged[:, :, layout.lower].conj()
         arr = unmerge_trailing(merged, half)
-    return np.fft.irfftn(arr, s=trailing, axes=tuple(range(2, arr.ndim)), out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.irfftn(arr, s=trailing, axes=tuple(range(2, arr.ndim)), out=out)
 
 
 def merge_trailing(a: np.ndarray) -> np.ndarray:
@@ -229,11 +235,12 @@ def ifft_stack(stack: np.ndarray, trailing_dims, out: np.ndarray | None = None) 
     return ifft_mode3(from_stack(stack, _half_dims(trailing_dims)), trailing_dims, out=out)
 
 
-def check_finite(stack: np.ndarray) -> None:
-    """Raise ``NumericalError`` if a spectral stack holds a non-finite entry:
-    the forward transform overflowed."""
-    if not np.isfinite(stack).all():
-        raise NumericalError("spectral slices are not finite; the transform overflowed")
+def check_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, once they are all finite; else ``NumericalError``, as the
+    arithmetic that made them overflowed.  ``what`` names them."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} are not finite; they overflowed")
+    return values
 
 
 def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
@@ -249,27 +256,30 @@ def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
     written once into complex128 matrix factors and float64 singular values.
     """
     stack = np.asarray(stack, dtype=np.complex128)
-    check_finite(stack)
+    check_finite(stack, "spectral slices")
     # A nonzero imaginary part in its first row settles that a slice is
     # complex; only the other slices are scanned whole.
     is_real = ~stack.imag[:, :1, :].any(axis=(1, 2))
     is_real[is_real] = ~stack.imag[is_real].any(axis=(1, 2))
     try:
         if not is_real.any():
-            return factor(stack, *per_slice)
-        edges = [0, *(np.flatnonzero(np.diff(is_real)) + 1).tolist(), len(stack)]
-        for lo, hi in zip(edges, edges[1:]):
-            run = slice(lo, hi)
-            got = factor(*(a[run].real if is_real[lo] else a[run] for a in (stack, *per_slice)))
-            parts = (got,) if isinstance(got, np.ndarray) else got
-            if lo == 0:  # the first run gives the outputs their shapes
-                out = [np.empty(stack.shape[:1] + p.shape[1:], np.complex128 if p.ndim == stack.ndim else np.float64)
-                       for p in parts]
-            for o, p in zip(out, parts):
-                o[run] = p
+            out = factor(stack, *per_slice)
+        else:
+            edges = [0, *(np.flatnonzero(np.diff(is_real)) + 1).tolist(), len(stack)]
+            for lo, hi in zip(edges, edges[1:]):
+                run = slice(lo, hi)
+                got = factor(*(a[run].real if is_real[lo] else a[run] for a in (stack, *per_slice)))
+                parts = (got,) if isinstance(got, np.ndarray) else got
+                if lo == 0:  # the first run gives the outputs their shapes
+                    out = [np.empty(stack.shape[:1] + p.shape[1:], np.complex128 if p.ndim == stack.ndim else np.float64)
+                           for p in parts]
+                for o, p in zip(out, parts):
+                    o[run] = p
+            out = out[0] if isinstance(got, np.ndarray) else tuple(out)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
-    return out[0] if isinstance(got, np.ndarray) else tuple(out)
+    check_finite(out if isinstance(out, np.ndarray) else out[1], "singular values")
+    return out
 
 
 def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
@@ -287,15 +297,16 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     ------
     NumericalError
         If a slice holds a non-finite entry (the forward transform
-        overflowed) or an SVD fails to converge.
+        overflowed), a singular value overflows, or an SVD fails to converge.
     """
     return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv))
 
 
 def _range_svd(a: np.ndarray, v: np.ndarray):
-    q, _ = np.linalg.qr(a @ v)
-    ub, s, vh = np.linalg.svd(q.conj().swapaxes(1, 2) @ a, full_matrices=False)
-    return q @ ub, s, vh
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, _ = np.linalg.qr(a @ v)
+        ub, s, vh = np.linalg.svd(q.conj().swapaxes(1, 2) @ a, full_matrices=False)
+        return q @ ub, s, vh
 
 
 def partial_svd_slices(stack: np.ndarray, basis: np.ndarray):
@@ -312,8 +323,7 @@ def partial_svd_slices(stack: np.ndarray, basis: np.ndarray):
     as a basis warm-started from a nearby matrix is.
 
     Real slices are factored as real matrices from the real part of their
-    basis, as in :func:`svd_slices`, which also raises the same
-    ``NumericalError`` for a non-finite slice or a failed factorization.
+    basis, and ``NumericalError`` is raised, as in :func:`svd_slices`.
     """
     return _factor_slices(stack, _range_svd, np.asarray(basis, dtype=np.complex128))
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tsvdkit import algebra, transforms
 from tsvdkit.decomposition import t_svd
-from tsvdkit.errors import DataError, DimensionError
+from tsvdkit.errors import DataError, DimensionError, NumericalError
 
 from tproduct_reference import t_product_reference, tube_mult
 
@@ -82,6 +82,13 @@ class TestTProduct:
                         a = rng.standard_normal((n1, n2, n3))
                         b = rng.standard_normal((n2, n4, n3))
                         assert rel(algebra.t_product(a, b), t_product_reference(a, b)) <= 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_numerical_error(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((3, 4, 5)), rng.standard_normal((4, 2, 5))
+        with pytest.raises(NumericalError, match="not finite"):
+            algebra.t_product(1e200 * a, 1e200 * b)
 
     def test_dimension_errors(self):
         a = np.zeros((2, 3, 4))

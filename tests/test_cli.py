@@ -301,7 +301,6 @@ class TestCompleteCommand:
         assert main(["complete", str(truth_file), "--sample-rate", "0.5", flag, value]) == 2
         assert f"{name} must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_exit_code(self, tmp_path, capsys):
         huge = tmp_path / "huge.tsr"
         fileio.write_tensor(huge, np.full((6, 6, 10), 5e307))

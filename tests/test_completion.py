@@ -40,6 +40,21 @@ class TestSvt:
         with pytest.raises(DataError):
             completion.svt(np.eye(2), -0.1)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DataError, match="threshold must be nonnegative"):
+            completion.svt(np.eye(2), np.nan)
+
+    def test_infinite_threshold_gives_zero(self):
+        """The prox of an infinite penalty is 0."""
+        w = np.random.default_rng(10).standard_normal((4, 3))
+        assert np.array_equal(completion.svt(w, np.inf), np.zeros((4, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_singular_value_raises(self):
+        """Finite entries whose largest singular value overflows."""
+        with pytest.raises(NumericalError, match="singular values are not finite"):
+            completion.svt(np.full((2, 2), 1.5e308), 1.0)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_entry_raises(self, bad):
         w = np.random.default_rng(8).standard_normal((4, 3))
@@ -70,6 +85,20 @@ class TestShrinkStep:
     def test_zero_input(self):
         out = completion.shrink_step(np.zeros((3, 3, 4), dtype=complex), 0.5)
         assert np.array_equal(out, np.zeros((3, 3, 4), dtype=complex))
+
+    @pytest.mark.parametrize("tau", [-0.1, np.nan])
+    def test_bad_threshold_rejected(self, tau):
+        with pytest.raises(DataError, match="threshold must be nonnegative"):
+            completion.shrink_step(np.zeros((3, 3, 4), dtype=complex), tau)
+
+    def test_infinite_threshold_gives_zero(self):
+        w_hat = transforms.fft_mode3(np.random.default_rng(11).standard_normal((4, 3, 5)))
+        assert np.array_equal(completion.shrink_step(w_hat, np.inf), np.zeros(w_hat.shape, dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_singular_value_raises(self):
+        with pytest.raises(NumericalError, match="singular values are not finite"):
+            completion.shrink_step(np.full((2, 2, 1), 1.5e308, dtype=complex), 1.0)
 
     def test_full_shrinkage(self):
         rng = np.random.default_rng(2)
@@ -413,7 +442,6 @@ class TestComplete:
         with pytest.raises(DataError):
             completion.complete(np.ones((3, 3, 3)), mask)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_surfaces_numerical_error(self):
         mask = transforms.SamplingOperator.bernoulli((6, 6, 10), 0.5, seed=0)
         y = mask.apply(np.full((6, 6, 10), 5e307))
@@ -421,7 +449,13 @@ class TestComplete:
             completion.complete(y, mask, completion.AdmmConfig(max_iter=5))
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_nuclear_norm_raises_numerical_error(self):
+        """Finite singular values whose sum, the reported TNN, overflows."""
+        y = np.diag([1e308, 1e308])[:, :, None]
+        with pytest.raises(NumericalError, match="tensor nuclear norms are not finite"):
+            completion.complete(y, np.ones(y.shape, dtype=bool))
+
     def test_overflowing_tube_raises_numerical_error(self):
         y = np.zeros((4, 4, 2))
         y[1, 2, :] = 1e308

@@ -42,6 +42,12 @@ class TestRatioFormulas:
             compression.ratio_for("tsvd", (4, 4, 3), 13)
         with pytest.raises(InfeasibleError):
             compression.ratio_for("tsvd_tubal", (4, 4, 3), 5)
+        for method in compression.METHODS:
+            for k in (1.5, 2.0, "2"):
+                with pytest.raises(InfeasibleError, match="not an integer"):
+                    compression.ratio_for(method, (4, 4, 3), k)
+            one = compression.stored_count_for(method, (4, 4, 3), 1)
+            assert compression.stored_count_for(method, (4, 4, 3), np.int64(2)) == 2 * one
 
     def test_unknown_method(self):
         with pytest.raises(InfeasibleError):
@@ -253,6 +259,15 @@ class TestCompressSweep:
             with pytest.raises(InfeasibleError):
                 next(compression.compress_sweep(m, method, ks))
         assert factorizations == {"t_svd": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("method,k", [("svd", 1.5), ("tsvd", 2.5), ("tsvd_tubal", 1.0)])
+def test_compress_rejects_a_non_integer_k(method, k):
+    m = np.random.default_rng(17).standard_normal((4, 4, 3))
+    with pytest.raises(InfeasibleError, match="not an integer"):
+        compression.compress(m, method, k)
+    with pytest.raises(InfeasibleError, match="not an integer"):
+        compression.decode_payload(method, m.shape, k, np.zeros(10), [])
 
 
 class TestDecodePayload:

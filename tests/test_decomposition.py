@@ -160,6 +160,22 @@ class TestOverflow:
         with pytest.raises(NumericalError, match="singular values are not finite"):
             decomposition.rank_measures(m)
 
+    def test_overflowing_norms_raise(self):
+        """Every singular value is finite; their sum is not."""
+        m = np.diag([1e308, 1e308])[:, :, None]
+        with pytest.raises(NumericalError, match="tensor norms are not finite"):
+            decomposition.rank_measures(m)
+
+    def test_overflowing_reconstruction_raises(self):
+        """Finite factors whose inverse transform overflows."""
+        m = np.zeros((2, 2, 2))
+        m[0, 0, 0] = 1e308
+        factors = decomposition.t_svd(m)
+        with pytest.raises(NumericalError, match="not finite"):
+            decomposition.truncate(factors, 2)
+        with pytest.raises(NumericalError, match="singular tubes are not finite"):
+            factors.s
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150, 1e160])
@@ -231,10 +247,12 @@ class TestTruncate:
                 assert best <= np.linalg.norm(m - candidate) + 1e-10
 
     def test_k_out_of_range(self):
+        """Also a k that is not a Python or numpy integer."""
         factors = decomposition.t_svd(np.ones((3, 3, 2)))
-        for k in (0, 4):
+        for k in (0, 4, 1.5, 2.0, "2"):
             with pytest.raises(DimensionError):
                 decomposition.truncate(factors, k)
+        assert decomposition.truncate(factors, np.int64(3)).shape == (3, 3, 2)
 
 
 class TestMultiRank:

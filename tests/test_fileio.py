@@ -623,6 +623,7 @@ def mutated(draw, blobs):
     return blob[:at] + bytes([value]) + blob[at + 1:]
 
 
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")
 class TestByteMutations:
     """A damaged file decodes or raises the documented error, never another

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvdkit import compression, decomposition, synthesis
+from tsvdkit import algebra, compression, decomposition, synthesis
 from tsvdkit.errors import NumericalError
 
 SCALES = (1e-150, 1e-3, 1e3, 1e150)
@@ -55,6 +55,14 @@ def relative_error(result):
 @settings(max_examples=200, deadline=None)
 @given(m=tensors(), c=st.sampled_from(SCALES), data=st.data())
 def test_scale_equivariance(m, c, data):
+    # t_product with one operand scaled.
+    n4 = data.draw(st.integers(1, 5), label="t_product n4")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="t_product seed"))
+    b = rng.standard_normal((m.shape[1], n4) + m.shape[2:])
+    pair = at_scale(lambda t: algebra.t_product(t, b), m, c)
+    if pair is not None:
+        assert_scaled(pair[1], pair[0], c)
+
     pair = at_scale(decomposition.t_svd, m, c)
     if pair is not None:
         unit, scaled = pair

@@ -109,6 +109,19 @@ class TestFourier:
             rho = np.prod(shape[2:])
             assert abs(lhs - rho * np.linalg.norm(a.ravel()) ** 2) <= 1e-10 * lhs
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_silent(self):
+        """An overflowing transform comes out non-finite, without a warning;
+        its callers report it."""
+        assert not np.isfinite(transforms.fft_mode3(np.full((1, 1, 4), 1e308))).all()
+        spectrum = np.full((1, 1, 2), 1e308, dtype=complex)
+        assert not np.isfinite(transforms.ifft_mode3(spectrum, (2,))).all()
+
+    def test_check_finite_names_the_values(self):
+        transforms.check_finite(np.ones(3), "values")
+        with pytest.raises(NumericalError, match="^test values are not finite; they overflowed$"):
+            transforms.check_finite(np.array([1.0, np.nan]), "test values")
+
     def test_rejects_low_order(self):
         with pytest.raises(DimensionError):
             transforms.fft_mode3(np.zeros((2, 2)))
@@ -305,6 +318,19 @@ class TestSvdSlices:
             transforms.svd_slices(stack, compute_uv=False)
         with pytest.raises(NumericalError):
             transforms.partial_svd_slices(stack, np.ones((2, 3, 1)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [1.5e308, 1.5e308j], ids=["real", "complex"])
+    def test_overflowing_singular_values_raise(self, entry):
+        """Finite slices whose largest singular value overflows, real and
+        complex: every factorization raises, without a warning."""
+        stack = np.full((1, 2, 2), entry)
+        with pytest.raises(NumericalError, match="not finite"):
+            transforms.svd_slices(stack)
+        with pytest.raises(NumericalError, match="singular values are not finite"):
+            transforms.svd_slices(stack, compute_uv=False)
+        with pytest.raises(NumericalError):
+            transforms.partial_svd_slices(stack, np.ones((1, 2, 1)))
 
     def test_partial_matches_leading_triplets(self):
         rng = np.random.default_rng(7)
