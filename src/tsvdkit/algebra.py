@@ -49,8 +49,8 @@ def t_product(a, b) -> np.ndarray:
         raise DimensionError(
             f"inner extents do not match: {a.shape[1]} vs {b.shape[0]}"
         )
-    a_hat = transforms.to_stack(transforms.fft_mode3(a))
-    b_hat = transforms.to_stack(transforms.fft_mode3(b))
+    a_hat = transforms.fft_stack(a)
+    b_hat = transforms.fft_stack(b)
     with np.errstate(over="ignore", invalid="ignore"):
         c_hat = a_hat @ b_hat
     return transforms.check_finite(transforms.ifft_stack(c_hat, a.shape[2:]), "t-product entries")

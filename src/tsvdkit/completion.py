@@ -380,9 +380,11 @@ def shrink_step(w_hat, tau: float) -> np.ndarray:
     """
     w_hat = np.asarray(w_hat, dtype=np.complex128)
     transforms.check_dims(w_hat.shape, "spectrum")
-    stack = np.array(transforms.to_stack(w_hat), order="C")
+    stack = np.empty((math.prod(w_hat.shape[2:]),) + w_hat.shape[:2], dtype=np.complex128)
+    out = transforms._tensor_view(stack, w_hat.shape[2:])
+    out[...] = w_hat
     _shrink(stack, tau)
-    return transforms.from_stack(stack, w_hat.shape[2:])
+    return out
 
 
 def complete(y, mask, config: AdmmConfig | None = None, truth=None):
@@ -435,7 +437,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
     x = np.empty(y.shape)
     z = y.copy()
     q = np.zeros(y.shape)
-    spectrum = None
+    stack = None
     residuals: list[float] = []
     tnn_values: list[float] = []
     ranks: list[int] = []
@@ -451,8 +453,7 @@ def complete(y, mask, config: AdmmConfig | None = None, truth=None):
         # dual update x + q - z, which is non-finite exactly when z or the
         # update is.
         np.add(q, x, out=q)
-        spectrum = transforms.fft_mode3(q, out=spectrum)
-        stack = transforms.to_stack(spectrum)
+        stack = transforms.fft_stack(q, out=stack)
         shrunk, rank = shrink(stack, tau)
         transforms.ifft_stack(stack, trailing, out=z)
         np.subtract(q, z, out=q)
@@ -502,7 +503,12 @@ def rse_db(x_rec, x_ref) -> float:
     denom = frobenius(x_ref)
     if denom == 0.0:
         raise UndefinedMetricError("RSE is undefined against a zero reference tensor")
-    ratio = frobenius(x_rec - x_ref) / denom
+    with np.errstate(over="ignore"):
+        ratio = frobenius(x_rec - x_ref) / denom
+    if ratio == math.inf and np.isfinite(x_rec).all():
+        # The difference overflowed; the ratio does not depend on scale.
+        scale = max(np.abs(x_rec).max(), np.abs(x_ref).max())
+        ratio = frobenius(x_rec / scale - x_ref / scale) / frobenius(x_ref / scale)
     if ratio == 0.0:
         return float("-inf")
     return 20.0 * math.log10(ratio)

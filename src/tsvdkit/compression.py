@@ -38,7 +38,7 @@ from . import transforms
 from .algebra import check_tensor
 from .completion import rse_db
 from .decomposition import t_svd
-from .errors import DimensionError, FormatError, InfeasibleError
+from .errors import DataError, DimensionError, FormatError, InfeasibleError
 
 METHODS = ("svd", "tsvd", "tsvd_tubal")
 
@@ -352,14 +352,18 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
 
     Raises
     ------
+    DataError
+        If a scalar is not finite.
     NumericalError
         If the reconstruction is not finite: the scalars overflowed when
-        multiplied out, or were not finite to begin with.
+        multiplied out.
     """
     dims = tuple(int(d) for d in dims)
     expected = stored_count_for(method, dims, k)
     if scalars.size != expected:
         raise DimensionError(f"payload holds {scalars.size} scalars, expected {expected}")
+    if not np.isfinite(scalars).all():
+        raise DataError("payload contains non-finite scalars")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _decode(method, dims, k, scalars, meta)
     return transforms.check_finite(out, "decoded entries")
@@ -382,6 +386,6 @@ def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
     u = scalars[: n1 * k * p].reshape((n1, k) + trailing, order="F")
     tubes = scalars[n1 * k * p: n1 * k * p + k * p].reshape((k,) + trailing, order="F")
     v = scalars[n1 * k * p + k * p:].reshape((n2, k) + trailing, order="F")
-    u_hat, tubes_hat, v_hat = (transforms.to_stack(transforms.fft_mode3(a)) for a in (u, tubes[None], v))
+    u_hat, tubes_hat, v_hat = (transforms.fft_stack(a) for a in (u, tubes[None], v))
     c_hat = (u_hat * tubes_hat) @ v_hat.conj().swapaxes(1, 2)
     return transforms.ifft_stack(c_hat, trailing)

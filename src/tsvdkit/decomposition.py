@@ -30,7 +30,7 @@ class TSvdFactors:
         Extents ``(n1, n2, n3, ...)`` of the factored tensor.
     u_hat, v_hat : ndarray, complex, shapes (slices, n1, n1) and (slices, n2, n2)
         Spectral ``u`` and ``v`` on the stored slices of the half spectrum,
-        slice index first (:func:`tsvdkit.transforms.to_stack`).
+        slice index first, as :func:`tsvdkit.transforms.fft_stack` gives them.
     sig_hat : ndarray, shape (slices, min(n1, n2))
         Singular values of every stored slice, nonincreasing along each row.
     """
@@ -64,7 +64,8 @@ class TSvdFactors:
 
     def sigmas(self) -> np.ndarray:
         """Spectral singular values as a real ``(min(n1, n2), rho)`` matrix,
-        one column per merged spectral slice."""
+        one column per spectral slice, numbered as in
+        :mod:`tsvdkit.transforms`."""
         return transforms.full_slices(self.sig_hat.T, self.dims[2:])
 
     @property
@@ -76,7 +77,7 @@ class TSvdFactors:
         n0 = sig.shape[0]
         merged = np.zeros(self.dims[:2] + sig.shape[1:], dtype=np.complex128)
         merged[np.arange(n0), np.arange(n0), :] = sig
-        out = transforms.unmerge_trailing(merged, self.dims[2:])
+        out = merged.reshape(self.dims, order="F")
         out.setflags(write=False)
         return out
 
@@ -99,7 +100,7 @@ def t_svd(m) -> TSvdFactors:
         (they overflowed), or a slice SVD fails to converge.
     """
     m = check_tensor(m, name="t_svd input")
-    u_hat, sig_hat, vh_hat = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)))
+    u_hat, sig_hat, vh_hat = transforms.svd_slices(transforms.fft_stack(m))
     v_hat = vh_hat.conj().swapaxes(1, 2)
     for arr in (u_hat, sig_hat, v_hat):
         arr.setflags(write=False)
@@ -131,7 +132,7 @@ def rank_measures(m, tol: float = 1e-8) -> dict:
         raise DataError(f"tol must be nonnegative and finite, got {tol}")
     m = check_tensor(m)
     trailing = m.shape[2:]
-    sig = transforms.svd_slices(transforms.to_stack(transforms.fft_mode3(m)), compute_uv=False).T
+    sig = transforms.svd_slices(transforms.fft_stack(m), compute_uv=False).T
     weights = transforms.slice_weights(trailing)
     top = sig.max(initial=0.0) or 1.0
     # l2 norms of the singular tubes, by Parseval over the full spectrum,
@@ -154,7 +155,7 @@ def multi_rank(m, tol: float = 1e-8) -> np.ndarray:
 
     An entry counts the singular values of its slice exceeding ``tol`` times
     the largest singular value over *all* slices.  Returns one integer per
-    merged spectral slice (``n3`` of them for order 3).
+    spectral slice (``n3`` of them for order 3).
     """
     return rank_measures(m, tol)["multi_rank"]
 

@@ -5,8 +5,9 @@ Convention: the forward transform is the unnormalized DFT applied along every
 mode from the third onward; the inverse carries the full 1/n factor.  The
 tensors are real, so their spectra are conjugate symmetric and only the half
 with last trailing index ``k_N <= n_N // 2`` is stored (``numpy.fft.rfftn``).
-Stored slices are numbered as :func:`merge_trailing` numbers them, third index
-fastest.
+It is held as a ``(slices, n1, n2)`` stack (:func:`fft_stack`,
+:func:`ifft_stack`), slice ``m`` at trailing index ``(m % k3, (m // k3) % k4,
+...)``; the ``rho`` slices of a full spectrum are numbered the same way.
 
 This module is the only one that knows how that half relates to the full
 spectrum, and only ``_cached_layout`` derives the conjugate map behind it:
@@ -16,7 +17,7 @@ spectrum, and only ``_cached_layout`` derives the conjugate map behind it:
   for itself only (:func:`slice_weights`);
 * inside those planes, the slices whose every trailing index is 0 or ``n/2``
   are real (:func:`real_slices`), and the others come in conjugate pairs,
-  both stored.  :func:`ifft_mode3` overwrites the higher-numbered member of
+  both stored.  :func:`ifft_stack` overwrites the higher-numbered member of
   each pair (:func:`mirrored_slices`) with the conjugate of the lower one, so
   independently factored pair members cannot break the symmetry.
 
@@ -123,7 +124,7 @@ def real_slices(trailing_dims) -> np.ndarray:
 
 
 def mirrored_slices(trailing_dims) -> np.ndarray:
-    """Which stored slices :func:`ifft_mode3` overwrites with the conjugate of
+    """Which stored slices :func:`ifft_stack` overwrites with the conjugate of
     a lower-numbered one: the higher member of each conjugate pair inside the
     ``k_N in {0, n_N/2}`` planes (none at order 3).  Read-only."""
     return _layout(trailing_dims).mirrored
@@ -131,7 +132,7 @@ def mirrored_slices(trailing_dims) -> np.ndarray:
 
 def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
     """Spread per-stored-slice values (last axis) over all ``rho`` spectral
-    slices in :func:`merge_trailing` order.
+    slices, numbered as stored slices are.
 
     A slice that is not stored takes the value of its stored conjugate, so
     the values must be ones that conjugation leaves unchanged, such as
@@ -140,25 +141,22 @@ def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
     return np.asarray(values)[..., _layout(trailing_dims).source]
 
 
-def fft_mode3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward DFT along every trailing mode (third onward), half spectrum.
+def _tensor_view(stack: np.ndarray, stored_dims) -> np.ndarray:
+    """The ``(n1, n2, k3, ..., kN)`` view of a ``(slices, n1, n2)`` stack:
+    slice ``m`` sits at trailing index ``(m % k3, (m // k3) % k4, ...)``.
+    Splitting one axis, it never copies."""
+    return np.moveaxis(stack, 0, -1).reshape(stack.shape[1:] + tuple(stored_dims), order="F")
 
-    Parameters
-    ----------
-    a : ndarray
-        Real tensor of order >= 3, shape ``(n1, n2, n3, ..., nN)``.
-    out : ndarray, optional
-        Where to write the result: an earlier result of this function for a
-        tensor of the same shape, or any complex128 array of the result's
-        shape.
 
-    Returns
-    -------
-    ndarray
-        Complex tensor of shape ``(n1, n2, n3, ..., nN // 2 + 1)``; its real
-        slices (:func:`real_slices`) have an exactly zero imaginary part.  A
-        new result is a view of a contiguous ``(slices, n1, n2)`` stack, so
-        :func:`to_stack` of it is that stack, without a copy.
+def fft_stack(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward DFT along every trailing mode (third onward), half spectrum,
+    as a ``(slices, n1, n2)`` stack: the layout of batched matrix products
+    and of :func:`svd_slices`.
+
+    ``a`` is a real tensor of order >= 3.  The result is written into
+    ``out`` when it is given: an earlier result of this function for a
+    tensor of the same shape.  Its real slices (:func:`real_slices`) have an
+    exactly zero imaginary part.
     """
     arr = np.asarray(a)
     check_dims(arr.shape)
@@ -166,26 +164,52 @@ def fft_mode3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise DataError("the trailing-mode transform takes a real tensor")
     layout = _layout(arr.shape[2:])
     if out is None:
-        stack = np.empty((layout.real.size,) + arr.shape[:2], dtype=np.complex128)
-        out = from_stack(stack, _half_dims(arr.shape[2:]))
+        out = np.empty((layout.real.size,) + arr.shape[:2], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)), out=out)
+        np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)), out=_tensor_view(out, _half_dims(arr.shape[2:])))
     # The complex passes over modes 3..N-1 can leave rounding in the
     # imaginary part of a real slice; clearing it lets svd_slices factor the
     # slice as a real matrix.
-    to_stack(out).imag[layout.real] = 0.0
+    out.imag[layout.real] = 0.0
     return out
 
 
-def ifft_mode3(a_hat: np.ndarray, trailing_dims, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse DFT along every trailing mode, from a half spectrum to a real
-    tensor with the given trailing extents, written into ``out`` (a float64
-    array of that shape) when it is given.
+def ifft_stack(stack: np.ndarray, trailing_dims, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse DFT along every trailing mode, from a half spectrum held as a
+    ``(slices, n1, n2)`` stack to a real tensor with the given trailing
+    extents, written into ``out`` (a float64 array of that shape) when it is
+    given.
 
-    The higher-numbered member of each conjugate pair inside the
-    ``k_N in {0, n_N/2}`` planes is replaced by the conjugate of the lower
-    one first, in a copy (order >= 4 only; order 3 has no such pairs).
+    Each :func:`mirrored_slices` slice (order >= 4 only) is replaced by the
+    conjugate of the lower member of its pair, so independently factored
+    pair members cannot break the symmetry: in place in a writable stack,
+    which is scratch to this function, and in a copy of a read-only one.
     """
+    trailing = check_dims(stack.shape[1:] + tuple(trailing_dims))[2:]
+    layout = _layout(trailing)
+    if stack.shape[0] != layout.real.size:
+        raise DimensionError(
+            f"spectral stack of {stack.shape[0]} slices does not match "
+            f"trailing extents {trailing} (expected {layout.real.size})"
+        )
+    if layout.lower.size:
+        stack = stack if stack.flags.writeable else stack.copy()
+        stack[layout.mirrored] = stack[layout.lower].conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.irfftn(_tensor_view(stack, _half_dims(trailing)), s=trailing,
+                             axes=tuple(range(2, len(trailing) + 2)), out=out)
+
+
+def fft_mode3(a: np.ndarray) -> np.ndarray:
+    """:func:`fft_stack` of ``a``, viewed as a complex tensor of shape
+    ``(n1, n2, n3, ..., nN // 2 + 1)``."""
+    return _tensor_view(fft_stack(a), _half_dims(np.shape(a)[2:]))
+
+
+def ifft_mode3(a_hat: np.ndarray, trailing_dims) -> np.ndarray:
+    """:func:`ifft_stack` of a half spectrum held as a complex tensor of
+    shape ``(n1, n2, n3, ..., nN // 2 + 1)``, which it hands over read-only,
+    so ``a_hat`` is never changed."""
     arr = np.asarray(a_hat)
     trailing = check_dims(arr.shape[:2] + tuple(trailing_dims))[2:]
     half = _half_dims(trailing)
@@ -194,45 +218,9 @@ def ifft_mode3(a_hat: np.ndarray, trailing_dims, out: np.ndarray | None = None) 
             f"half spectrum with trailing shape {arr.shape[2:]} does not match "
             f"trailing extents {trailing} (expected {half})"
         )
-    layout = _layout(trailing)
-    if layout.lower.size:
-        merged = merge_trailing(arr).copy()
-        merged[:, :, layout.mirrored] = merged[:, :, layout.lower].conj()
-        arr = unmerge_trailing(merged, half)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.irfftn(arr, s=trailing, axes=tuple(range(2, arr.ndim)), out=out)
-
-
-def merge_trailing(a: np.ndarray) -> np.ndarray:
-    """Collapse all trailing modes into one slice axis, third index fastest.
-
-    A tensor of shape ``(n1, n2, n3, ..., nN)`` becomes ``(n1, n2, rho)`` with
-    ``rho = n3 * ... * nN``; slice ``m`` holds trailing multi-index
-    ``(m % n3, (m // n3) % n4, ...)``.
-    """
-    return a.reshape(a.shape[0], a.shape[1], -1, order="F")
-
-
-def unmerge_trailing(merged: np.ndarray, trailing_dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`merge_trailing` for the given trailing extents."""
-    shape = merged.shape[:2] + tuple(trailing_dims)
-    return merged.reshape(shape, order="F")
-
-
-def to_stack(a_hat: np.ndarray) -> np.ndarray:
-    """Slices first: ``(n1, n2, ...)`` becomes a ``(slices, n1, n2)`` stack, the
-    layout of batched matrix products and of :func:`svd_slices`."""
-    return np.moveaxis(merge_trailing(a_hat), 2, 0)
-
-
-def from_stack(stack: np.ndarray, stored_dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`to_stack` for the given trailing shape."""
-    return unmerge_trailing(np.moveaxis(stack, 0, 2), stored_dims)
-
-
-def ifft_stack(stack: np.ndarray, trailing_dims, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`ifft_mode3` of the half spectrum held as a slice stack."""
-    return ifft_mode3(from_stack(stack, _half_dims(trailing_dims)), trailing_dims, out=out)
+    stack = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), 2, 0)
+    stack.setflags(write=False)
+    return ifft_stack(stack, trailing)
 
 
 def check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -290,7 +278,7 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     slices of one kind is factored in place, as a view of the stack
     (:func:`_factor_slices`), so no slice is copied out.  A slice whose
     imaginary part is exactly zero is factored as a real matrix, so its
-    factors have a zero imaginary part; :func:`fft_mode3` makes every real
+    factors have a zero imaginary part; :func:`fft_stack` makes every real
     slice exactly real.  An all-zero slice gets identity factors.
 
     Raises

@@ -48,7 +48,7 @@ def test_criterion_01_tproduct_matches_brute_force():
 
 def _assert_factor_contract(m, factors):
     sig = factors.sigmas()
-    merged = transforms.merge_trailing(factors.s_hat)
+    merged = factors.s_hat.reshape(*factors.dims[:2], -1, order="F")
     n0 = min(merged.shape[0], merged.shape[1])
     assert np.array_equal(merged.imag, np.zeros_like(merged.imag))
     assert (sig >= 0).all()
@@ -62,10 +62,10 @@ def _assert_factor_contract(m, factors):
         assert algebra.is_orthogonal(factors.v, tol=1e-9)
     else:
         for stack in (factors.u, factors.v):
-            stack_hat = transforms.merge_trailing(transforms.fft_mode3(stack))
-            n = stack_hat.shape[0]
-            for j in range(stack_hat.shape[2]):
-                gram = stack_hat[:, :, j].conj().T @ stack_hat[:, :, j]
+            stack_hat = transforms.fft_stack(stack)
+            n = stack_hat.shape[1]
+            for slice_ in stack_hat:
+                gram = slice_.conj().T @ slice_
                 assert np.linalg.norm(gram - np.eye(n)) <= 1e-9 * np.sqrt(n)
 
 

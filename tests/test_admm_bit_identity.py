@@ -108,7 +108,7 @@ def test_basis_growth_matches_reference():
     values, rank and next basis as the frozen shrink step, batch by batch
     (9 stored slices, the last one real and alone in its batch)."""
     dims = (24, 24, 16)
-    stack = transforms.to_stack(transforms.fft_mode3(synthesis.random_low_tubal_rank(dims, 6, seed=22)))
+    stack = transforms.fft_stack(synthesis.random_low_tubal_rank(dims, 6, seed=22))
     tau = 1e-3 * np.linalg.svd(stack, compute_uv=False)[:, 5].min()
     narrow = np.random.default_rng(23).standard_normal((len(stack), 24, 2))
     reference = admm_reference._RankAdaptiveShrink(tau, 24, 24)

@@ -139,7 +139,7 @@ class TestShrinkStep:
 
 
 def spectral_stack(dims, rank, seed):
-    return transforms.to_stack(transforms.fft_mode3(synthesis.random_low_tubal_rank(dims, rank, seed)))
+    return transforms.fft_stack(synthesis.random_low_tubal_rank(dims, rank, seed))
 
 
 def warm_basis(stack, width, seed):
@@ -180,8 +180,9 @@ class TestRankAdaptiveShrink:
 
     @staticmethod
     def full_shrink(stack, tau, stored_dims):
-        out = completion.shrink_step(transforms.from_stack(stack, stored_dims), tau)
-        return transforms.to_stack(out)
+        n1, n2 = stack.shape[1:]
+        out = completion.shrink_step(np.moveaxis(stack, 0, 2).reshape((n1, n2) + stored_dims, order="F"), tau)
+        return np.moveaxis(out.reshape(n1, n2, -1, order="F"), 2, 0)
 
     @staticmethod
     def tau_for_rank(stack, rank):
@@ -427,6 +428,14 @@ class TestComplete:
         assert min(report.ranks) + 5 > 60 // 2  # full slice SVDs only
         assert peak <= 6.0
 
+    def test_order4_solve_mirrors_in_place(self):
+        """At order 4 the inverse mirrors the conjugate pairs in the solver's
+        own stack; a copy of the half spectrum to mirror in takes the peak
+        to about 8.8 tensors."""
+        peak, report = self.traced_peak((24, 24, 8, 5), 3, completion.AdmmConfig(rho=0.01))
+        assert report.converged
+        assert peak <= 7.7
+
     def test_order4_completion(self):
         truth = synthesis.random_low_tubal_rank((10, 10, 4, 3), 2, seed=11)
         mask = transforms.SamplingOperator.bernoulli((10, 10, 4, 3), 0.7, seed=12)
@@ -640,3 +649,10 @@ class TestRseDb:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             completion.rse_db(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_difference_past_the_float_range(self):
+        """The operands are scaled before they are subtracted, so a
+        difference that float64 cannot hold still gives its ratio."""
+        big = np.full((1, 1, 1), 1e308)
+        assert completion.rse_db(big, -big) == pytest.approx(20.0 * np.log10(2.0), abs=1e-12)

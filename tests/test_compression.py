@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tsvdkit import algebra, compression, decomposition, synthesis, transforms
 from tsvdkit.compression import HALF, PAIR_IM, PAIR_RE, SELF
-from tsvdkit.errors import FormatError, InfeasibleError, NumericalError
+from tsvdkit.errors import DataError, FormatError, InfeasibleError, NumericalError
 
 from tsvd_decode_reference import decode_tsvd_reference
 
@@ -294,6 +294,17 @@ class TestDecodePayload:
         result = compression.compress(m, method, k)
         scalars = 1e300 * np.concatenate([b.ravel(order="F") for b in result.payload])
         with pytest.raises(NumericalError, match="not finite"):
+            compression.decode_payload(method, m.shape, k, scalars, result.meta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method,k", [("svd", 3), ("tsvd", 7), ("tsvd_tubal", 2)])
+    def test_nonfinite_scalar_is_a_data_error(self, method, k, bad):
+        """A scalar that is not finite is bad input, not an overflow."""
+        m = np.random.default_rng(10).standard_normal((6, 5, 4))
+        result = compression.compress(m, method, k)
+        scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
+        scalars[-1] = bad
+        with pytest.raises(DataError, match="non-finite scalars"):
             compression.decode_payload(method, m.shape, k, scalars, result.meta)
 
     @pytest.mark.filterwarnings("error")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsvdkit import algebra, decomposition, synthesis, transforms
+from tsvdkit import algebra, compression, decomposition, synthesis, transforms
 from tsvdkit.errors import DataError, DimensionError, NumericalError
 
 
@@ -13,7 +13,7 @@ def rel(got, want):
 
 
 def spectral_diag(factors):
-    merged = transforms.merge_trailing(factors.s_hat)
+    merged = factors.s_hat.reshape(*factors.dims[:2], -1, order="F")
     n0 = min(merged.shape[0], merged.shape[1])
     return merged[np.arange(n0), np.arange(n0), :]
 
@@ -25,7 +25,7 @@ def assert_factor_contract(m, factors, tol=1e-9):
     assert np.array_equal(sig.imag, np.zeros_like(sig.imag))
     assert (sig.real >= 0).all()
     assert (np.diff(sig.real, axis=0) <= 1e-12).all()
-    merged = transforms.merge_trailing(factors.s_hat)
+    merged = factors.s_hat.reshape(*factors.dims[:2], -1, order="F")
     off_diag = merged.copy()
     n0 = min(merged.shape[0], merged.shape[1])
     off_diag[np.arange(n0), np.arange(n0), :] = 0
@@ -36,10 +36,10 @@ def assert_factor_contract(m, factors, tol=1e-9):
         assert algebra.is_orthogonal(factors.v, tol)
     else:
         for stack in (factors.u, factors.v):
-            stack_hat = transforms.merge_trailing(transforms.fft_mode3(stack))
-            n = stack_hat.shape[0]
-            for j in range(stack_hat.shape[2]):
-                gram = stack_hat[:, :, j].conj().T @ stack_hat[:, :, j]
+            stack_hat = transforms.fft_stack(stack)
+            n = stack_hat.shape[1]
+            for slice_ in stack_hat:
+                gram = slice_.conj().T @ slice_
                 assert np.linalg.norm(gram - np.eye(n)) <= tol * np.sqrt(n)
 
 
@@ -87,19 +87,41 @@ class TestTSvd:
 
     def test_factors_stay_spectral(self, monkeypatch):
         calls = []
-        inverse = transforms.ifft_mode3
+        inverse = transforms.ifft_stack
 
         def counted(*args, **kwargs):
             calls.append(1)
             return inverse(*args, **kwargs)
 
-        monkeypatch.setattr(transforms, "ifft_mode3", counted)
+        monkeypatch.setattr(transforms, "ifft_stack", counted)
         m = np.random.default_rng(15).standard_normal((6, 5, 4))
         factors = decomposition.t_svd(m)
         assert calls == []
         assert factors.dims == m.shape
         assert factors.u.shape == (6, 6, 4) and factors.v.shape == (5, 5, 4)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("dims", [(5, 4, 4, 3), (4, 5, 3, 2, 4)])
+    def test_readers_leave_the_factors_alone(self, monkeypatch, dims):
+        """At orders 4 and 5 the inverse mirrors conjugate pairs in the stack
+        it is given; reading u, v and s, truncating and a tsvd_tubal sweep
+        hand it copies, so the stored factors stay byte-identical."""
+        made = []
+
+        def recorded(m):
+            made.append(decomposition.t_svd(m))
+            return made[-1]
+
+        monkeypatch.setattr(compression, "t_svd", recorded)
+        m = np.random.default_rng(17).standard_normal(dims)
+        factors = recorded(m)
+        assert transforms.mirrored_slices(dims[2:]).any()
+        before = [a.tobytes() for a in (factors.u_hat, factors.sig_hat, factors.v_hat)]
+        factors.u, factors.v, factors.s, decomposition.truncate(factors, 2)
+        list(compression.compress_sweep(m, "tsvd_tubal", [1, 2]))
+        assert len(made) == 2
+        for f in made:
+            assert [a.tobytes() for a in (f.u_hat, f.sig_hat, f.v_hat)] == before
 
     def test_result_holds_one_copy_of_the_factors(self):
         m = np.random.default_rng(16).standard_normal((40, 40, 20))

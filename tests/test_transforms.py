@@ -72,10 +72,10 @@ class TestFourier:
     @pytest.mark.parametrize("shape", [(3, 3, 6), (3, 3, 5), (2, 2, 6, 5, 4), (3, 4, 2, 3, 4)])
     def test_real_slices_are_exactly_real(self, shape):
         rng = np.random.default_rng(2)
-        a_hat = transforms.merge_trailing(transforms.fft_mode3(rng.standard_normal(shape)))
+        stack = transforms.fft_stack(rng.standard_normal(shape))
         real = transforms.real_slices(shape[2:])
-        assert np.array_equal(a_hat[:, :, real].imag, np.zeros_like(a_hat[:, :, real].imag))
-        assert (np.abs(a_hat[:, :, ~real].imag).max(axis=(0, 1)) > 0).all()
+        assert np.array_equal(stack[real].imag, np.zeros_like(stack[real].imag))
+        assert (np.abs(stack[~real].imag).max(axis=(1, 2)) > 0).all()
 
     def test_zero_spectrum(self):
         assert np.array_equal(
@@ -103,9 +103,9 @@ class TestFourier:
         rng = np.random.default_rng(3)
         for shape in ((6, 5, 4), (6, 5, 5), (3, 3, 4, 5), (3, 3, 2, 3, 4)):
             a = rng.standard_normal(shape)
-            merged = transforms.merge_trailing(transforms.fft_mode3(a))
+            stack = transforms.fft_stack(a)
             weights = transforms.slice_weights(shape[2:])
-            lhs = (np.abs(merged) ** 2).sum(axis=(0, 1)) @ weights
+            lhs = (np.abs(stack) ** 2).sum(axis=(1, 2)) @ weights
             rho = np.prod(shape[2:])
             assert abs(lhs - rho * np.linalg.norm(a.ravel()) ** 2) <= 1e-10 * lhs
 
@@ -144,16 +144,46 @@ class TestHalfLayout:
         """A mirrored slice is the conjugate of a lower stored slice, and
         overwriting it does not change the inverse transform."""
         a = np.random.default_rng(3).standard_normal(shape)
-        a_hat = transforms.fft_mode3(a)
-        merged = transforms.merge_trailing(a_hat)
+        stack = transforms.fft_stack(a)
         mirrored = transforms.mirrored_slices(shape[2:])
         assert mirrored.any() and not (mirrored & transforms.real_slices(shape[2:])).any()
         for j in np.flatnonzero(mirrored):
-            assert any(np.allclose(merged[:, :, j], merged[:, :, i].conj(), atol=1e-12) for i in range(j))
-        transforms.to_stack(a_hat)[mirrored] = 7.0
-        assert (transforms.merge_trailing(a_hat)[:, :, mirrored] == 7.0).all()
-        assert np.array_equal(transforms.ifft_mode3(a_hat, shape[2:]),
-                              transforms.ifft_mode3(transforms.fft_mode3(a), shape[2:]))
+            assert any(np.allclose(stack[j], stack[i].conj(), atol=1e-12) for i in range(j))
+        want = transforms.ifft_stack(transforms.fft_stack(a), shape[2:])
+        stack[mirrored] = 7.0
+        assert np.array_equal(transforms.ifft_stack(stack, shape[2:]), want)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 3), (2, 3, 3, 2, 4)])
+    def test_inverse_mirrors_the_stack_in_place(self, shape):
+        """The stack inverse overwrites each mirrored slice with the exact
+        conjugate of a lower slice, in the stack it is given."""
+        stack = transforms.fft_stack(np.random.default_rng(5).standard_normal(shape))
+        mirrored = transforms.mirrored_slices(shape[2:])
+        stack[mirrored] = 7.0
+        transforms.ifft_stack(stack, shape[2:])
+        for j in np.flatnonzero(mirrored):
+            assert any(np.array_equal(stack[j], stack[i].conj()) for i in range(j))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 2, 4, 3), (2, 3, 3, 2, 4)])
+    def test_tensor_inverse_leaves_its_input_alone(self, shape):
+        """ifft_mode3 gives the stack inverse of the same spectrum, and
+        neither writes into a_hat nor needs to: a read-only one works."""
+        a = np.random.default_rng(6).standard_normal(shape)
+        a_hat = transforms.fft_mode3(a)
+        assert np.array_equal(a_hat.reshape(shape[0], shape[1], -1, order="F"),
+                              np.moveaxis(transforms.fft_stack(a), 0, 2))
+        a_hat[..., 0] += 1.0 + 2.0j  # the k_N = 0 plane, which holds the pairs
+        before = a_hat.copy()
+        got = transforms.ifft_mode3(a_hat, shape[2:])
+        assert np.array_equal(a_hat, before)
+        before.setflags(write=False)
+        assert np.array_equal(transforms.ifft_mode3(before, shape[2:]), got)
+        stack = np.moveaxis(a_hat.reshape(shape[0], shape[1], -1, order="F"), 2, 0).copy()
+        assert np.array_equal(got, transforms.ifft_stack(stack, shape[2:]))
+
+    def test_stack_inverse_rejects_mismatched_slices(self):
+        with pytest.raises(DimensionError, match="spectral stack of 4 slices"):
+            transforms.ifft_stack(np.zeros((4, 2, 3), dtype=complex), (4, 3))
 
 
 
@@ -171,11 +201,11 @@ class TestPartnerMap:
         for shape in ((3, 3, 7), (3, 3, 4, 3), (2, 2, 4, 2), (3, 4, 2, 3, 4)):
             a = rng.standard_normal(shape)
             full = full_spectrum(a)
-            half = transforms.merge_trailing(transforms.fft_mode3(a))
-            source = transforms.full_slices(np.arange(half.shape[2]), shape[2:])
+            half = transforms.fft_stack(a)
+            source = transforms.full_slices(np.arange(len(half)), shape[2:])
             stride = int(np.prod(shape[2:-1]))
             for lin in range(full.shape[2]):
-                stored = half[:, :, source[lin]]
+                stored = half[source[lin]]
                 want = stored if lin // stride <= shape[-1] // 2 else stored.conj()
                 assert np.allclose(full[:, :, lin], want, atol=1e-12)
 
@@ -214,7 +244,7 @@ class TestLayoutTable:
 class TestSvdSlices:
     def test_matches_per_slice_svd(self):
         rng = np.random.default_rng(5)
-        stack = transforms.to_stack(transforms.fft_mode3(rng.standard_normal((5, 4, 6))))
+        stack = transforms.fft_stack(rng.standard_normal((5, 4, 6)))
         u, s, vh = transforms.svd_slices(stack)
         for j in range(stack.shape[0]):
             assert np.allclose(s[j], np.linalg.svd(stack[j], compute_uv=False), atol=1e-12)
@@ -223,7 +253,7 @@ class TestSvdSlices:
 
     def test_real_slices_get_real_factors(self):
         rng = np.random.default_rng(6)
-        stack = transforms.to_stack(transforms.fft_mode3(rng.standard_normal((4, 4, 6))))
+        stack = transforms.fft_stack(rng.standard_normal((4, 4, 6)))
         u, _, vh = transforms.svd_slices(stack)
         for j in (0, 3):
             assert not u[j].imag.any() and not vh[j].imag.any()
@@ -238,7 +268,7 @@ class TestSvdSlices:
         assert np.allclose((u * s[:, None, :]) @ vh, stack, atol=1e-12)
 
     def test_all_real_stack_gets_complex_factors(self):
-        stack = transforms.to_stack(transforms.fft_mode3(np.random.default_rng(9).standard_normal((5, 4, 2))))
+        stack = transforms.fft_stack(np.random.default_rng(9).standard_normal((5, 4, 2)))
         u, s, vh = transforms.svd_slices(stack)
         assert u.dtype == vh.dtype == np.complex128 and s.dtype == np.float64
         assert np.allclose((u[:, :, :4] * s[:, None, :]) @ vh, stack, atol=1e-12)
@@ -270,7 +300,7 @@ class TestSvdSlices:
         is a view of the stack (and of the basis), never a gathered copy, and
         each slice gets the factors of its own SVD, as a real matrix when it
         is real."""
-        stack = transforms.to_stack(transforms.fft_mode3(np.random.default_rng(10).standard_normal((5, 4, 8, 5))))
+        stack = transforms.fft_stack(np.random.default_rng(10).standard_normal((5, 4, 8, 5)))
         real = transforms.real_slices((8, 5))
         assert np.flatnonzero(real).tolist() == [0, 4] and len(stack) == 24
         basis = np.random.default_rng(11).standard_normal((24, 4, 3)) + 0j
@@ -335,7 +365,7 @@ class TestSvdSlices:
     def test_partial_matches_leading_triplets(self):
         rng = np.random.default_rng(7)
         low = random_low_tubal_rank((6, 10, 8), 2, seed=7)
-        stack = transforms.to_stack(transforms.fft_mode3(low))
+        stack = transforms.fft_stack(low)
         basis = rng.standard_normal((stack.shape[0], 10, 4))
         u, s, vh = transforms.partial_svd_slices(stack, basis)
         assert u.shape == (5, 6, 4) and s.shape == (5, 4) and vh.shape == (5, 4, 10)
@@ -413,7 +443,8 @@ def spectral_inner(x_hat, y_hat, trailing_dims):
     """Inner product of two full spectra of real tensors, summed over their
     stored halves."""
     weights = transforms.slice_weights(trailing_dims)
-    per_slice = np.einsum("ijk,ijk->k", transforms.merge_trailing(x_hat).conj(), transforms.merge_trailing(y_hat))
+    x_hat, y_hat = (h.reshape(h.shape[0], h.shape[1], -1, order="F") for h in (x_hat, y_hat))
+    per_slice = np.einsum("ijk,ijk->k", x_hat.conj(), y_hat)
     return float(np.real(per_slice @ weights))
 
 
