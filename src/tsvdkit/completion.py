@@ -56,8 +56,8 @@ class AdmmConfig:
             raise DataError(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.tol_primal < math.inf:
             raise DataError(f"tol_primal must be positive and finite, got {self.tol_primal}")
-        if self.max_iter < 1:
-            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise DataError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass

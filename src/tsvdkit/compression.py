@@ -348,17 +348,21 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
     """Reconstruct a tensor from a serialized scalar block.
 
     ``scalars`` is the flat float64 array produced by concatenating the
-    payload blocks in declared order; ``meta`` is required for ``tsvd``.
+    payload blocks in declared order; ``meta`` is required for ``tsvd``, one
+    ``(kind, slice, diag)`` triple per record.
 
     Raises
     ------
     DataError
         If a scalar is not finite.
+    FormatError
+        If a ``tsvd`` record's meta is not a triple, or the record is invalid.
     NumericalError
         If the reconstruction is not finite: the scalars overflowed when
         multiplied out.
     """
     dims = tuple(int(d) for d in dims)
+    scalars = np.asarray(scalars, dtype=np.float64)
     expected = stored_count_for(method, dims, k)
     if scalars.size != expected:
         raise DimensionError(f"payload holds {scalars.size} scalars, expected {expected}")
@@ -381,6 +385,8 @@ def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
     if method == "tsvd":
         if len(meta) != k:
             raise DimensionError(f"tsvd payload carries {len(meta)} records, expected {k}")
+        if any(len(row) != 3 for row in meta):
+            raise FormatError("every tsvd record's meta must be a (kind, slice, diag) triple")
         return _decode_tsvd_records(scalars.reshape(k, 1 + n1 + n2),
                                     np.asarray(meta, dtype=np.int64).reshape(k, 3), dims)
     u = scalars[: n1 * k * p].reshape((n1, k) + trailing, order="F")

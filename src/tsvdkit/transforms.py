@@ -10,7 +10,8 @@ It is held as a ``(slices, n1, n2)`` stack (:func:`fft_stack`,
 ...)``; the ``rho`` slices of a full spectrum are numbered the same way.
 
 This module is the only one that knows how that half relates to the full
-spectrum, and only ``_cached_layout`` derives the conjugate map behind it:
+spectrum.  Each call derives it afresh from the conjugate map of one ``k_N``
+plane, and nothing is cached:
 
 * a stored slice outside the ``k_N in {0, n_N/2}`` planes stands for itself
   and for its conjugate, which is not stored; one inside those planes stands
@@ -31,10 +32,8 @@ it as a ``NumericalError``, here for every singular value factored.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,55 +78,44 @@ def _half_dims(trailing_dims) -> tuple[int, ...]:
     return trailing[:-1] + (trailing[-1] // 2 + 1,)
 
 
-class _Layout(NamedTuple):
-    weights: np.ndarray  # per stored slice: the full-spectrum slices it stands for
-    real: np.ndarray  # per stored slice: its own conjugate
-    mirrored: np.ndarray  # per stored slice: the higher member of a pair in the planes
-    lower: np.ndarray  # per mirrored slice: the lower member, which it mirrors
-    source: np.ndarray  # per full-spectrum slice: the stored slice behind it
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_layout(trailing: tuple[int, ...]) -> _Layout:
-    # Slice k of the full spectrum has conjugate (-k) mod n: every trailing
-    # mode flipped, then rolled by one.  The stored half is its leading run.
-    axes = tuple(range(len(trailing)))
-    full = np.arange(math.prod(trailing)).reshape(trailing, order="F")
-    conj = np.roll(np.flip(full, axes), 1, axes).ravel(order="F")
-    stored = math.prod(_half_dims(trailing))
-    own, partner = np.arange(stored), conj[:stored]
-    layout = _Layout(np.where(partner < stored, 1.0, 2.0), partner == own, partner < own,
-                     partner[partner < own], np.concatenate((own, conj[stored:])))
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
-
-
-def _layout(trailing_dims) -> _Layout:
-    """The stored slices of a half spectrum with these trailing extents,
-    computed once per trailing shape (read-only arrays)."""
-    return _cached_layout(tuple(int(n) for n in trailing_dims))
+def _partners(trailing_dims) -> np.ndarray:
+    """Per stored slice of a half spectrum with these trailing extents, the
+    stored slice that is its conjugate, or -1 where that is not stored: in
+    every block of stored slices but the first (``k_N = 0``) and, for an even
+    ``n_N``, the last (``k_N = n_N/2``)."""
+    trailing = tuple(int(n) for n in trailing_dims)
+    # Inside those planes, trailing index k has conjugate (-k) mod n: every
+    # mode flipped, then rolled by one.  The axis of 1 is k_N.
+    plane = np.arange(math.prod(trailing[:-1])).reshape(trailing[:-1] + (1,), order="F")
+    conj = np.roll(np.flip(plane), 1, tuple(range(plane.ndim))).ravel(order="F")
+    partner = np.full(math.prod(_half_dims(trailing)), -1)
+    partner[:conj.size] = conj
+    if trailing[-1] % 2 == 0:
+        partner[-conj.size:] = partner.size - conj.size + conj
+    return partner
 
 
 def slice_weights(trailing_dims) -> np.ndarray:
     """How many slices of the full spectrum each stored slice stands for: 1 in
     the ``k_N in {0, n_N/2}`` planes, 2 elsewhere.  A sum over the full
     spectrum of a quantity shared by conjugate slices (singular values,
-    squared norms) is the weighted sum over the stored slices.  Read-only."""
-    return _layout(trailing_dims).weights
+    squared norms) is the weighted sum over the stored slices."""
+    return np.where(_partners(trailing_dims) < 0, 2.0, 1.0)
 
 
 def real_slices(trailing_dims) -> np.ndarray:
     """Which stored slices are their own conjugate, hence real: those whose
-    every trailing index is 0 or ``n/2``.  Read-only."""
-    return _layout(trailing_dims).real
+    every trailing index is 0 or ``n/2``."""
+    partner = _partners(trailing_dims)
+    return partner == np.arange(partner.size)
 
 
 def mirrored_slices(trailing_dims) -> np.ndarray:
     """Which stored slices :func:`ifft_stack` overwrites with the conjugate of
     a lower-numbered one: the higher member of each conjugate pair inside the
-    ``k_N in {0, n_N/2}`` planes (none at order 3).  Read-only."""
-    return _layout(trailing_dims).mirrored
+    ``k_N in {0, n_N/2}`` planes (none at order 3)."""
+    partner = _partners(trailing_dims)
+    return (partner >= 0) & (partner < np.arange(partner.size))
 
 
 def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
@@ -138,7 +126,12 @@ def full_slices(values: np.ndarray, trailing_dims) -> np.ndarray:
     the values must be ones that conjugation leaves unchanged, such as
     singular values or ranks.
     """
-    return np.asarray(values)[..., _layout(trailing_dims).source]
+    trailing = tuple(int(n) for n in trailing_dims)
+    n, conj = trailing[-1], _partners(trailing)[:math.prod(trailing[:-1])]
+    # Block k_N > n_N // 2 of the full spectrum is the conjugate of stored
+    # block n_N - k_N.
+    unstored = (n - np.arange(n // 2 + 1, n))[:, None] * conj.size + conj
+    return np.asarray(values)[..., np.concatenate((np.arange(conj.size * (n // 2 + 1)), unstored.ravel()))]
 
 
 def _tensor_view(stack: np.ndarray, stored_dims) -> np.ndarray:
@@ -162,15 +155,15 @@ def fft_stack(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     check_dims(arr.shape)
     if np.iscomplexobj(arr):
         raise DataError("the trailing-mode transform takes a real tensor")
-    layout = _layout(arr.shape[2:])
+    real = real_slices(arr.shape[2:])
     if out is None:
-        out = np.empty((layout.real.size,) + arr.shape[:2], dtype=np.complex128)
+        out = np.empty((real.size,) + arr.shape[:2], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         np.fft.rfftn(arr, axes=tuple(range(2, arr.ndim)), out=_tensor_view(out, _half_dims(arr.shape[2:])))
     # The complex passes over modes 3..N-1 can leave rounding in the
     # imaginary part of a real slice; clearing it lets svd_slices factor the
     # slice as a real matrix.
-    out.imag[layout.real] = 0.0
+    out.imag[real] = 0.0
     return out
 
 
@@ -186,15 +179,16 @@ def ifft_stack(stack: np.ndarray, trailing_dims, out: np.ndarray | None = None) 
     which is scratch to this function, and in a copy of a read-only one.
     """
     trailing = check_dims(stack.shape[1:] + tuple(trailing_dims))[2:]
-    layout = _layout(trailing)
-    if stack.shape[0] != layout.real.size:
+    partner = _partners(trailing)
+    if stack.shape[0] != partner.size:
         raise DimensionError(
             f"spectral stack of {stack.shape[0]} slices does not match "
-            f"trailing extents {trailing} (expected {layout.real.size})"
+            f"trailing extents {trailing} (expected {partner.size})"
         )
-    if layout.lower.size:
+    lower = np.flatnonzero(partner > np.arange(partner.size))
+    if lower.size:
         stack = stack if stack.flags.writeable else stack.copy()
-        stack[layout.mirrored] = stack[layout.lower].conj()
+        stack[partner[lower]] = stack[lower].conj()
     with np.errstate(over="ignore", invalid="ignore"):
         return np.fft.irfftn(_tensor_view(stack, _half_dims(trailing)), s=trailing,
                              axes=tuple(range(2, len(trailing) + 2)), out=out)

@@ -625,6 +625,17 @@ class TestConfigValidation:
         with pytest.raises(DataError):
             completion.AdmmConfig(max_iter=0)
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), 3.0, "3", None])
+    def test_non_integer_max_iter(self, value):
+        with pytest.raises(DataError, match="max_iter must be an integer"):
+            completion.AdmmConfig(max_iter=value)
+
+    def test_numpy_integer_max_iter(self):
+        y = np.ones((3, 3, 2))
+        mask = np.ones(y.shape, dtype=bool)
+        _, report = completion.complete(y, mask, completion.AdmmConfig(max_iter=np.int64(2)))
+        assert report.iterations <= 2
+
 
 class TestRseDb:
     def test_zero_reconstruction(self):

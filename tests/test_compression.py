@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,32 @@ class TestDecodePayload:
                 continue
             assert all(np.isfinite(b).all() for b in result.payload)
             assert result.rse_db == pytest.approx(compression.compress(unit, method, k).rse_db, abs=1e-9)
+
+    def test_scalars_may_be_a_list(self):
+        m = np.random.default_rng(10).standard_normal((6, 5, 4))
+        for method, k in (("svd", 3), ("tsvd", 7), ("tsvd_tubal", 2)):
+            result = compression.compress(m, method, k)
+            scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
+            rebuilt = compression.decode_payload(method, m.shape, k, scalars.tolist(), result.meta)
+            assert rebuilt.tobytes() == result.reconstruction.tobytes()
+
+    @pytest.mark.parametrize("meta", [[(0, 0)], [(0, 0, 0, 0)]])
+    def test_meta_rows_are_triples(self, meta):
+        with pytest.raises(FormatError, match=r"\(kind, slice, diag\) triple"):
+            compression.decode_payload("tsvd", (2, 2, 3), 1, np.ones(5), meta)
+
+    def test_thin_tsvd_decode_peaks_below_three_outputs(self):
+        """A 1x1x10^6 decode holds its output, the half-spectrum stack and
+        the inverse transform's work, and no table over the spectrum."""
+        scalars = np.ones(3)
+        tracemalloc.start()
+        try:
+            out = compression.decode_payload("tsvd", (1, 1, 10**6), 1, scalars, [(0, 0, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 1, 10**6)
+        assert peak <= 3 * out.nbytes
 
     def test_full_budget_payload_rebuilds_input(self):
         rng = np.random.default_rng(11)

@@ -9,7 +9,7 @@ from tsvdkit import algebra, compression, fileio, synthesis, transforms
 from tsvdkit.cli import main
 from tsvdkit.completion import complete, shrink_step
 from tsvdkit.decomposition import rank_measures, t_svd
-from tsvdkit.errors import DimensionError
+from tsvdkit.errors import DimensionError, InfeasibleError
 from tsvdkit.synthesis import random_low_tubal_rank
 
 
@@ -77,6 +77,18 @@ def test_dims_past_memory_raise_before_allocating(monkeypatch, no_draws):
         random_low_tubal_rank((4, 4, 3), 0, 0)
     monkeypatch.setattr(transforms, "_MEMORY_LIMIT", 8 * 4 * 4 * 3)
     assert not random_low_tubal_rank((4, 4, 3), 0, 0).any()
+
+
+@pytest.mark.parametrize("rank", [1.5, 2.0, float("nan"), "2", None])
+def test_non_integer_rank_raises_before_drawing(no_draws, rank):
+    with pytest.raises(InfeasibleError, match="is not an integer in"):
+        random_low_tubal_rank((4, 4, 3), rank, 0)
+
+
+def test_any_integer_type_draws_its_int_rank():
+    want = random_low_tubal_rank((4, 4, 3), 1, 0)
+    for rank in (True, np.int64(1), np.uint8(1)):
+        assert random_low_tubal_rank((4, 4, 3), rank, 0).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dims", ["99999999999x99999999999x99999999", "4x4x3"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,8 +212,9 @@ class TestPartnerMap:
 
 
 class TestLayoutTable:
-    """The cached layout against the per-call derivations it replaced, for
-    every trailing shape with extents 1-6 at orders 3-5."""
+    """The layout accessors against a per-index derivation, for every
+    trailing shape with extents 1-6 at orders 3-5.  Each call returns arrays
+    of its own, so a caller may write into them."""
 
     SHAPES = [t for order in (3, 4, 5) for t in itertools.product(range(1, 7), repeat=order - 2)]
 
@@ -235,10 +237,28 @@ class TestLayoutTable:
             assert weights.tolist() == np.where(in_plane, 1.0, 2.0).tolist()
             assert real.tolist() == (in_plane & (partner == own)).tolist()
             assert mirrored.tolist() == (partner < own).tolist()
-            assert not any(a.flags.writeable for a in (weights, real, mirrored))
             values = 10 * own + 3
             want = values[self.full_slice_sources(trailing)]
             assert transforms.full_slices(values, trailing).tolist() == want.tolist()
+            for accessor, got in ((transforms.slice_weights, weights), (transforms.real_slices, real),
+                                  (transforms.mirrored_slices, mirrored)):
+                before = got.copy()
+                got[...] = ~before if got.dtype == bool else -before
+                assert accessor(trailing).tolist() == before.tolist()
+
+    def test_nothing_is_kept_between_calls(self):
+        """The layout of 10^6 trailing slices costs about its 4 MB of
+        weights at the peak, and nothing once they are dropped."""
+        tracemalloc.start()
+        try:
+            weights = transforms.slice_weights((10**6,))
+            peak = tracemalloc.get_traced_memory()[1]
+            del weights
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert kept <= 1e4
 
 
 class TestSvdSlices:
