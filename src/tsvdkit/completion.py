@@ -8,19 +8,13 @@ spectral frontal slice (the proximal map of the penalty, threshold
 ``1/rho``), and a unit-step dual update.  Once the iterate has low rank, the
 shrinkage computes only the leading singular triplets of each slice.  It
 factors a few slices at a time, so the factors of the whole spectral stack
-are never held at once, and on a machine with a core to spare it shares the
-full factorizations of each call with one helper thread, with the same
-results; a process runs at most one helper at a time.
+are never held at once; the full factorizations of each call share their
+batches with the helper thread of :mod:`tsvdkit.transforms`.
 """
 
 from __future__ import annotations
 
-import contextvars
-import itertools
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,79 +103,6 @@ _BATCHES = 8
 # Right-basis columns kept beyond the iterate rank between shrink steps.
 _OVERSAMPLE = 5
 
-# The smallest slice work, n1 * n2 * min(n1, n2) as for a slice SVD, at which
-# a helper thread pays for its handoffs: that of a 64x64 slice.  Measured on 2
-# cores (solves of n x n x 40, helper against none): 0.86-0.89x at n = 64,
-# 0.95-1.02x at 56, about 0.98x at 40 and 48, 1.18x at 32.
-_TWO_WIDE_MIN_WORK = 64**3
-
-# The environment variables each BLAS library takes its thread count from,
-# in the order it reads them, by a substring of numpy's BLAS build name.
-_BLAS_THREAD_VARIABLES = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-}
-
-
-def _two_wide_pays(cores: int, blas_threads: int | None, n1: int, n2: int, siblings: bool) -> bool:
-    """Whether the shrink step of ``n1 x n2`` slices runs on a helper thread
-    as well as the caller: only with two usable cores, BLAS known to run one
-    thread (a threaded BLAS already fills the cores), slices large enough
-    that the handoffs cost less than the work they share, and no sibling
-    processes that likely keep the other cores busy."""
-    return (
-        cores >= 2
-        and blas_threads == 1
-        and n1 * n2 * min(n1, n2) >= _TWO_WIDE_MIN_WORK
-        and not siblings
-    )
-
-
-def _blas_threads(blas: str, environ) -> int | None:
-    """The thread count the BLAS library named ``blas`` takes from
-    ``environ``, or None when it is not pinned there or the library is not
-    one of :data:`_BLAS_THREAD_VARIABLES`."""
-    for family, names in _BLAS_THREAD_VARIABLES.items():
-        if family in blas.lower():
-            for name in names:
-                value = environ.get(name, "").strip()
-                if value.isdigit() and int(value) > 0:
-                    return int(value)
-            return None
-    return None
-
-
-def _blas_name() -> str:
-    try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (KeyError, TypeError):
-        return ""
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# The process this module was loaded in: any other is a forked child.
-_LOADED_IN = os.getpid()
-
-
-def _has_siblings() -> bool:
-    """Whether this process is likely one of several sharing the cores: a
-    forked child, or one that multiprocessing started (a pool's worker, for
-    one).  Processes started any other way cannot be told apart."""
-    multiprocessing = sys.modules.get("multiprocessing")
-    return os.getpid() != _LOADED_IN or (multiprocessing is not None and multiprocessing.parent_process() is not None)
-
-
-# Held while a helper thread runs, so that concurrent solves cannot take more
-# than two cores between them: a call that finds it held runs on its caller.
-_helper = threading.Lock()
-
-
 def _batches(count: int) -> list[slice]:
     size = -(-count // _BATCHES)
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
@@ -190,54 +111,6 @@ def _batches(count: int) -> list[slice]:
 def _halves(batch: slice) -> list[slice]:
     mid = (batch.start + batch.stop + 1) // 2
     return [slice(batch.start, mid), slice(mid, batch.stop)] if batch.stop - batch.start > 1 else [batch]
-
-
-def _map(fn, count: int, two_wide: bool) -> list:
-    """``[fn(i) for i in range(count)]``, on the caller and, when
-    ``two_wide`` and no other call holds one, a helper thread started for
-    this call and joined before it returns.
-
-    Each thread takes the next index as it finishes one, so a helper given
-    less of a core holds up at most one call.  The helper runs ``fn`` in a
-    copy of the caller's context (numpy's error state is context-local).  An
-    error is the one the loop raises, that of the first failing index,
-    raised once both threads have stopped; neither takes an index after an
-    error.
-    """
-    if not two_wide or count < 2 or not _helper.acquire(blocking=False):
-        return [fn(i) for i in range(count)]
-    results = [None] * count
-    errors = {}
-    claims = itertools.count()  # next() on it is atomic under the interpreter lock
-
-    def drain():
-        for i in claims:
-            if i >= count or errors:
-                return
-            try:
-                results[i] = fn(i)
-            except Exception as exc:
-                errors[i] = exc
-
-    try:
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(drain,), name="tsvdkit-shrink")
-        helper.start()
-        try:
-            drain()
-        finally:
-            helper.join()
-    finally:
-        _helper.release()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def _shrink_two_wide(n1: int, n2: int) -> bool:
-    """Whether the full SVDs of ``n1 x n2`` slices pay for a helper thread
-    (:func:`_two_wide_pays`)."""
-    blas_threads = _blas_threads(_blas_name(), os.environ)
-    return _two_wide_pays(_usable_cores(), blas_threads, n1, n2, _has_siblings())
 
 
 def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> int:
@@ -258,7 +131,7 @@ def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau
 def _shrink(stack: np.ndarray, tau: float, keep: int = 0, two_wide: bool = False):
     """svt on every slice of a contiguous complex128 stack, in place, from
     full slice SVDs, batch by batch (:func:`_batches`), on the caller and,
-    when ``two_wide``, a helper thread (:func:`_map`).
+    when ``two_wide``, a helper thread (:func:`transforms._map`).
 
     Returns the thresholded singular values (one row per slice), the rank
     (the largest per-slice count of ``sigma > tau``), and, one array per
@@ -284,7 +157,7 @@ def _shrink(stack: np.ndarray, tau: float, keep: int = 0, two_wide: bool = False
         # unused when any part is.
         return rank, vh[:, :keep].copy() if rank + _OVERSAMPLE <= keep else None
 
-    results = _map(factor, len(parts), two_wide)
+    results = transforms._map(factor, len(parts), two_wide)
     rank = max(r for r, _ in results)
     if rank + _OVERSAMPLE > keep:
         return shrunk, rank, None
@@ -316,7 +189,7 @@ class _RankAdaptiveShrink:
     Both paths work batch by batch (:func:`_batches`), and the basis is held
     as one array per batch.  The partial path keeps the narrow factors of
     every batch until all slices pass the check, then writes them.  Where it
-    pays (:func:`_shrink_two_wide`), each call of the full path shares its
+    pays (:func:`transforms._two_wide`), each call of the full path shares its
     batches with a helper thread; the partial path runs on the caller, its
     batches being too small to gain from the handoffs.
     """
@@ -325,7 +198,7 @@ class _RankAdaptiveShrink:
         self.max_width = min(n1, n2) // 2
         self.basis: list[np.ndarray] | None = None
         self.rng = np.random.default_rng(0)
-        self.two_wide = _shrink_two_wide(n1, n2)
+        self.two_wide = transforms._two_wide(n1, n2)
 
     def __call__(self, stack: np.ndarray, tau: float):
         """svt with threshold ``tau`` on every slice of a contiguous

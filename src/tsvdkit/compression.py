@@ -356,7 +356,8 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
     DataError
         If a scalar is not finite.
     FormatError
-        If a ``tsvd`` record's meta is not a triple, or the record is invalid.
+        If a ``tsvd`` record's meta is not a triple of Python or numpy
+        integers that fit in int64, or the record is invalid.
     NumericalError
         If the reconstruction is not finite: the scalars overflowed when
         multiplied out.
@@ -373,6 +374,12 @@ def decode_payload(method: str, dims, k: int, scalars: np.ndarray,
     return transforms.check_finite(out, "decoded entries")
 
 
+def _is_meta_row(row) -> bool:
+    """Whether ``row`` is three Python or numpy integers that fit in int64."""
+    return isinstance(row, (tuple, list, np.ndarray)) and len(row) == 3 and all(
+        isinstance(x, (int, np.integer)) and -(2**63) <= x < 2**63 for x in row)
+
+
 def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
     """What :func:`decode_payload` returns, before its finiteness check."""
     n1, n2, trailing = dims[0], dims[1], dims[2:]
@@ -385,8 +392,8 @@ def _decode(method: str, dims, k: int, scalars: np.ndarray, meta) -> np.ndarray:
     if method == "tsvd":
         if len(meta) != k:
             raise DimensionError(f"tsvd payload carries {len(meta)} records, expected {k}")
-        if any(len(row) != 3 for row in meta):
-            raise FormatError("every tsvd record's meta must be a (kind, slice, diag) triple")
+        if not all(_is_meta_row(row) for row in meta):
+            raise FormatError("every tsvd record's meta must be a (kind, slice, diag) triple of int64 integers")
         return _decode_tsvd_records(scalars.reshape(k, 1 + n1 + n2),
                                     np.asarray(meta, dtype=np.int64).reshape(k, 3), dims)
     u = scalars[: n1 * k * p].reshape((n1, k) + trailing, order="F")

@@ -28,12 +28,21 @@ the slice weights and ``rho`` the product of the trailing extents.
 Overflow is never a numpy warning: the transforms and the slice
 factorizations let it come out non-finite, and :func:`check_finite` reports
 it as a ``NumericalError``, here for every singular value factored.
+
+On a machine with a core to spare, :func:`svd_slices` shares the full
+factorizations of each call with one helper thread, with the same results
+(:func:`_two_wide`); a process runs at most one helper at a time, and a call
+made while it runs stays on its caller.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 
@@ -225,39 +234,168 @@ def check_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _factor_slices(stack: np.ndarray, factor, *per_slice: np.ndarray):
-    """Apply a batched factorization to a spectral stack, one maximal run of
-    consecutive slices of one kind at a time, and write its outputs slice by
-    slice.
+# The smallest slice work, n1 * n2 * min(n1, n2) as for a slice SVD, at which
+# a helper thread pays for its handoffs: that of a 64x64 slice.  Measured on 2
+# cores (solves of n x n x 40, helper against none): 0.86-0.89x at n = 64,
+# 0.95-1.02x at 56, about 0.98x at 40 and 48, 1.18x at 32.
+_TWO_WIDE_MIN_WORK = 64**3
+
+# The environment variables each BLAS library takes its thread count from,
+# in the order it reads them, by a substring of numpy's BLAS build name.
+_BLAS_THREAD_VARIABLES = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _two_wide_pays(cores: int, blas_threads: int | None, n1: int, n2: int, siblings: bool) -> bool:
+    """Whether the full SVDs of ``n1 x n2`` slices run on a helper thread as
+    well as the caller: only with two usable cores, BLAS known to run one
+    thread (a threaded BLAS already fills the cores), slices large enough
+    that the handoffs cost less than the work they share, and no sibling
+    processes that likely keep the other cores busy."""
+    return (
+        cores >= 2
+        and blas_threads == 1
+        and n1 * n2 * min(n1, n2) >= _TWO_WIDE_MIN_WORK
+        and not siblings
+    )
+
+
+def _blas_threads(blas: str, environ) -> int | None:
+    """The thread count the BLAS library named ``blas`` takes from
+    ``environ``, or None when it is not pinned there or the library is not
+    one of :data:`_BLAS_THREAD_VARIABLES`."""
+    for family, names in _BLAS_THREAD_VARIABLES.items():
+        if family in blas.lower():
+            for name in names:
+                value = environ.get(name, "").strip()
+                if value.isdigit() and int(value) > 0:
+                    return int(value)
+            return None
+    return None
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return ""
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# The process this module was loaded in: any other is a forked child.
+_LOADED_IN = os.getpid()
+
+
+def _has_siblings() -> bool:
+    """Whether this process is likely one of several sharing the cores: a
+    forked child, or one that multiprocessing started (a pool's worker, for
+    one).  Processes started any other way cannot be told apart."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    return os.getpid() != _LOADED_IN or (multiprocessing is not None and multiprocessing.parent_process() is not None)
+
+
+def _two_wide(n1: int, n2: int) -> bool:
+    """Whether the full SVDs of ``n1 x n2`` slices pay for a helper thread
+    in this process (:func:`_two_wide_pays`)."""
+    blas_threads = _blas_threads(_blas_name(), os.environ)
+    return _two_wide_pays(_usable_cores(), blas_threads, n1, n2, _has_siblings())
+
+
+# Held while a helper thread runs, so that concurrent calls cannot take more
+# than two cores between them: a call that finds it held runs on its caller.
+_helper = threading.Lock()
+
+
+def _map(fn, count: int, two_wide: bool) -> list:
+    """``[fn(i) for i in range(count)]``, on the caller and, when
+    ``two_wide`` and no other call holds one, a helper thread started for
+    this call and joined before it returns.
+
+    Each thread takes the next index as it finishes one, so a helper given
+    less of a core holds up at most one call.  The helper runs ``fn`` in a
+    copy of the caller's context (numpy's error state is context-local).  An
+    error is the one the loop raises, that of the first failing index,
+    raised once both threads have stopped; neither takes an index after an
+    error.
+    """
+    if not two_wide or count < 2 or not _helper.acquire(blocking=False):
+        return [fn(i) for i in range(count)]
+    results = [None] * count
+    errors = {}
+    claims = itertools.count()  # next() on it is atomic under the interpreter lock
+
+    def drain():
+        for i in claims:
+            if i >= count or errors:
+                return
+            try:
+                results[i] = fn(i)
+            except Exception as exc:
+                errors[i] = exc
+
+    try:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(drain,), name="tsvdkit-shrink")
+        helper.start()
+        try:
+            drain()
+        finally:
+            helper.join()
+    finally:
+        _helper.release()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _factor_slices(stack: np.ndarray, factor, shapes, *per_slice: np.ndarray, two_wide: bool = False):
+    """Apply a batched factorization to a complex128 spectral stack, one
+    maximal run of consecutive slices of one kind at a time, and write its
+    outputs slice by slice.
 
     A slice whose imaginary part is exactly zero is real.  Each run is
     factored in place, as a view of the stack, with the same view of each
     ``per_slice`` operand; a real run is factored from ``.real`` views, so
-    its factors are real.  A stack with no real slice is one run, and its
-    factors are returned as ``factor`` gives them; any other stack's are
-    written once into complex128 matrix factors and float64 singular values.
+    its factors are real.  ``shapes`` gives each output's shape per slice:
+    a matrix factor is complex128 and singular values are float64.  A stack
+    that is one run of complex slices has its factors returned as
+    ``factor`` gives them; any other stack's are written into outputs that
+    the caller allocates before anything is factored.
+
+    When ``two_wide``, every slice is a piece of its own, shared with the
+    helper thread (:func:`_map`): the helper then holds one slice's factors
+    at a time, and allocates nothing that outlives the call.
     """
-    stack = np.asarray(stack, dtype=np.complex128)
     check_finite(stack, "spectral slices")
     # A nonzero imaginary part in its first row settles that a slice is
     # complex; only the other slices are scanned whole.
     is_real = ~stack.imag[:, :1, :].any(axis=(1, 2))
     is_real[is_real] = ~stack.imag[is_real].any(axis=(1, 2))
+    two_wide = two_wide and len(stack) > 1
     try:
-        if not is_real.any():
+        if not (two_wide or is_real.any()):
             out = factor(stack, *per_slice)
         else:
-            edges = [0, *(np.flatnonzero(np.diff(is_real)) + 1).tolist(), len(stack)]
-            for lo, hi in zip(edges, edges[1:]):
-                run = slice(lo, hi)
-                got = factor(*(a[run].real if is_real[lo] else a[run] for a in (stack, *per_slice)))
-                parts = (got,) if isinstance(got, np.ndarray) else got
-                if lo == 0:  # the first run gives the outputs their shapes
-                    out = [np.empty(stack.shape[:1] + p.shape[1:], np.complex128 if p.ndim == stack.ndim else np.float64)
-                           for p in parts]
-                for o, p in zip(out, parts):
+            cuts = np.arange(1, len(stack)) if two_wide else np.flatnonzero(np.diff(is_real)) + 1
+            edges = [0, *cuts.tolist(), len(stack)]
+            out = [np.empty(stack.shape[:1] + shape, np.complex128 if len(shape) == 2 else np.float64)
+                   for shape in shapes]
+
+            def piece(r: int):
+                run = slice(edges[r], edges[r + 1])
+                got = factor(*(a[run].real if is_real[run.start] else a[run] for a in (stack, *per_slice)))
+                for o, p in zip(out, (got,) if isinstance(got, np.ndarray) else got):
                     o[run] = p
-            out = out[0] if isinstance(got, np.ndarray) else tuple(out)
+
+            _map(piece, len(edges) - 1, two_wide)
+            out = out[0] if len(out) == 1 else tuple(out)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
     check_finite(out if isinstance(out, np.ndarray) else out[1], "singular values")
@@ -273,7 +411,9 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     (:func:`_factor_slices`), so no slice is copied out.  A slice whose
     imaginary part is exactly zero is factored as a real matrix, so its
     factors have a zero imaginary part; :func:`fft_stack` makes every real
-    slice exactly real.  An all-zero slice gets identity factors.
+    slice exactly real.  An all-zero slice gets identity factors.  Where it
+    pays (:func:`_two_wide`), the slices are shared with a helper thread,
+    one at a time; the results are the same bytes.
 
     Raises
     ------
@@ -281,7 +421,14 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
         If a slice holds a non-finite entry (the forward transform
         overflowed), a singular value overflows, or an SVD fails to converge.
     """
-    return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv))
+    stack = np.asarray(stack, dtype=np.complex128)
+    n1, n2 = stack.shape[1:]
+    k = min(n1, n2)
+    u, vh = ((n1, n1), (n2, n2)) if full_matrices else ((n1, k), (k, n2))
+    # A call made while the helper runs, as the solver's are, keeps its runs.
+    return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv),
+                          (u, (k,), vh) if compute_uv else ((k,),),
+                          two_wide=not _helper.locked() and _two_wide(n1, n2))
 
 
 def _range_svd(a: np.ndarray, v: np.ndarray):
@@ -305,9 +452,16 @@ def partial_svd_slices(stack: np.ndarray, basis: np.ndarray):
     as a basis warm-started from a nearby matrix is.
 
     Real slices are factored as real matrices from the real part of their
-    basis, and ``NumericalError`` is raised, as in :func:`svd_slices`.
+    basis, and ``NumericalError`` is raised, as in :func:`svd_slices`.  The
+    slices are never shared with the helper thread: they are factored in a
+    few small steps that spend much of their time holding the interpreter
+    lock.
     """
-    return _factor_slices(stack, _range_svd, np.asarray(basis, dtype=np.complex128))
+    stack = np.asarray(stack, dtype=np.complex128)
+    basis = np.asarray(basis, dtype=np.complex128)
+    n1, n2 = stack.shape[1:]
+    width = basis.shape[2]
+    return _factor_slices(stack, _range_svd, ((n1, width), (width,), (width, n2)), basis)
 
 
 class SamplingOperator:

@@ -494,8 +494,9 @@ class TestComplete:
 
 
 class TestTwoWide:
-    """When the full-SVD shrink step shares its batches with a helper
-    thread, and how the batches are shared."""
+    """When the full slice SVDs share their work with a helper thread
+    (the rule of :mod:`tsvdkit.transforms`, which the shrink step follows),
+    and how the work is shared."""
 
     @pytest.mark.parametrize(
         "cores, blas_threads, n1, n2, siblings, pays",
@@ -512,7 +513,7 @@ class TestTwoWide:
         ],
     )
     def test_rule(self, cores, blas_threads, n1, n2, siblings, pays):
-        assert completion._two_wide_pays(cores, blas_threads, n1, n2, siblings) == pays
+        assert transforms._two_wide_pays(cores, blas_threads, n1, n2, siblings) == pays
 
     @pytest.mark.parametrize(
         "blas, environ, threads",
@@ -529,17 +530,17 @@ class TestTwoWide:
         ],
     )
     def test_blas_threads(self, blas, environ, threads):
-        assert completion._blas_threads(blas, environ) == threads
+        assert transforms._blas_threads(blas, environ) == threads
 
     def test_worker_from_the_machine(self, monkeypatch):
-        monkeypatch.setattr(completion, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(completion, "_blas_name", lambda: "scipy-openblas")
+        monkeypatch.setattr(transforms, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(transforms, "_blas_name", lambda: "scipy-openblas")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(completion, "_has_siblings", lambda: False)
-        assert completion._shrink_two_wide(100, 100) is True
-        assert completion._shrink_two_wide(30, 30) is False
+        monkeypatch.setattr(transforms, "_has_siblings", lambda: False)
+        assert transforms._two_wide(100, 100) is True
+        assert transforms._two_wide(30, 30) is False
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert completion._shrink_two_wide(100, 100) is False
+        assert transforms._two_wide(100, 100) is False
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
@@ -547,24 +548,24 @@ class TestTwoWide:
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method")
         with multiprocessing.get_context(method).Pool(1) as pool:
-            assert pool.apply(completion._has_siblings)
+            assert pool.apply(transforms._has_siblings)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
     def test_forked_child_has_siblings(self):
-        assert not completion._has_siblings()
+        assert not transforms._has_siblings()
         pid = os.fork()
         if pid == 0:
             code = 2
             try:
-                code = 0 if completion._has_siblings() else 1
+                code = 0 if transforms._has_siblings() else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_map_keeps_order(self):
-        assert completion._map(lambda i: i * i, 9, True) == [i * i for i in range(9)]
+        assert transforms._map(lambda i: i * i, 9, True) == [i * i for i in range(9)]
 
     def test_map_runs_in_the_callers_error_state(self):
         both = threading.Barrier(2)
@@ -574,7 +575,7 @@ class TestTwoWide:
             return threading.get_ident(), np.geterr()["divide"]
 
         with np.errstate(divide="raise"):
-            got = completion._map(fn, 2, True)
+            got = transforms._map(fn, 2, True)
         assert got[0][0] != got[1][0]
         assert [state for _, state in got] == ["raise", "raise"]
 
@@ -592,7 +593,7 @@ class TestTwoWide:
             raise DataError("second")
 
         with pytest.raises(NumericalError, match="first"):
-            completion._map(fn, 6, True)
+            transforms._map(fn, 6, True)
         assert finished == [1]
         assert sorted(calls) == [0, 1]
 
@@ -603,7 +604,7 @@ class TestTwoWide:
             return i
 
         with pytest.raises(DataError, match="late"):
-            completion._map(fn, 6, True)
+            transforms._map(fn, 6, True)
 
 
 class TestConfigValidation:

@@ -339,10 +339,22 @@ class TestDecodePayload:
             rebuilt = compression.decode_payload(method, m.shape, k, scalars.tolist(), result.meta)
             assert rebuilt.tobytes() == result.reconstruction.tobytes()
 
-    @pytest.mark.parametrize("meta", [[(0, 0)], [(0, 0, 0, 0)]])
+    # Past the first two: rows of a float, a string, a bare int, None, and an
+    # integer past int64, which the int64 cast would truncate or fail on.
+    @pytest.mark.parametrize("meta", [[(0, 0)], [(0, 0, 0, 0)], [(0.5, 0, 0)], [(0, 0.9, 0)], [("a", 0, 0)],
+                                      [0], [None], [(0, 2**70, 0)]])
     def test_meta_rows_are_triples(self, meta):
         with pytest.raises(FormatError, match=r"\(kind, slice, diag\) triple"):
             compression.decode_payload("tsvd", (2, 2, 3), 1, np.ones(5), meta)
+
+    def test_meta_may_hold_numpy_integers(self):
+        m = np.random.default_rng(11).standard_normal((6, 5, 4))
+        result = compression.compress(m, "tsvd", 7)
+        scalars = np.concatenate([b.ravel(order="F") for b in result.payload])
+        for meta in ([np.array(row, dtype=np.uint32) for row in result.meta],
+                     [tuple(np.int64(x) for x in row) for row in result.meta]):
+            rebuilt = compression.decode_payload("tsvd", m.shape, 7, scalars, meta)
+            assert rebuilt.tobytes() == result.reconstruction.tobytes()
 
     def test_thin_tsvd_decode_peaks_below_three_outputs(self):
         """A 1x1x10^6 decode holds its output, the half-spectrum stack and

@@ -1,19 +1,21 @@
-"""The shrink step with its helper thread forced on and forced off, whatever
-the machine's cores and BLAS settings: the bit-identity tests and the memory
-bounds run again on both paths, with the overflow, concurrency and fork cases
-of the helper."""
+"""The full slice factorizations with their helper thread forced on and
+forced off, whatever the machine's cores and BLAS settings: the solver's
+bit-identity tests and memory bounds run again on both paths, the slice SVDs,
+t_svd and the rank measures give the same bytes on both, and the helper's
+errors, memory, concurrency and fork cases are checked."""
 
 import multiprocessing
 import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from tsvdkit import completion, synthesis, transforms
+from tsvdkit import completion, decomposition, synthesis, transforms
 from tsvdkit.errors import NumericalError
 
 import test_admm_bit_identity as bit_identity
@@ -22,7 +24,7 @@ import test_completion
 
 @pytest.fixture(autouse=True, params=[False, True], ids=["serial", "two-wide"])
 def two_wide(request, monkeypatch):
-    monkeypatch.setattr(completion, "_two_wide_pays", lambda *facts: request.param)
+    monkeypatch.setattr(transforms, "_two_wide_pays", lambda *facts: request.param)
     return request.param
 
 
@@ -85,6 +87,139 @@ def helpers():
 def test_no_helper_outlives_the_solve():
     small_solve(0)
     assert helpers() == 0
+
+
+def forced_off(monkeypatch):
+    monkeypatch.setattr(transforms, "_two_wide_pays", lambda *facts: False)
+
+
+def helpers_in_svd(monkeypatch) -> list:
+    """The helper threads alive at each ``np.linalg.svd`` call from now on:
+    one inside every call that shares its slices, whichever thread makes it."""
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        seen.append(helpers())
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return seen
+
+
+def as_bytes(*arrays) -> list:
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def factorizations(m) -> list:
+    """Every full factorization of ``m`` that may share its slices: three
+    forms of svd_slices, t_svd and the rank measures."""
+    stack = transforms.fft_stack(m)
+    factors = decomposition.t_svd(m)
+    return as_bytes(*transforms.svd_slices(stack), *transforms.svd_slices(stack, full_matrices=False),
+                    transforms.svd_slices(stack, compute_uv=False),
+                    factors.u_hat, factors.sig_hat, factors.v_hat) + [repr(decomposition.rank_measures(m))]
+
+
+@pytest.mark.parametrize("dims", [(9, 7, 8), (8, 9, 4, 3), (7, 6, 4, 3, 2)], ids=["order3", "order4", "order5"])
+def test_factorizations_match_the_serial_bytes(monkeypatch, two_wide, dims):
+    m = np.random.default_rng(len(dims)).standard_normal(dims)
+    seen = helpers_in_svd(monkeypatch)
+    got = factorizations(m)
+    assert max(seen) == (1 if two_wide else 0)
+    assert helpers() == 0
+    forced_off(monkeypatch)
+    assert factorizations(m) == got
+
+
+def edge_stack(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(5)
+    count = {"empty": 0, "one slice": 1}.get(kind, 4)
+    stack = rng.standard_normal((count, 6, 4)) + 1j * rng.standard_normal((count, 6, 4))
+    return stack.real + 0j if kind == "all real" else stack
+
+
+@pytest.mark.parametrize("kind", ["empty", "one slice", "all real", "all complex"])
+def test_edge_stacks_match_the_serial_bytes(monkeypatch, kind):
+    stack = edge_stack(kind)
+
+    def factors():
+        return as_bytes(*transforms.svd_slices(stack), *transforms.svd_slices(stack, full_matrices=False),
+                        transforms.svd_slices(stack, compute_uv=False))
+
+    got = factors()
+    forced_off(monkeypatch)
+    assert factors() == got
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_helper_linalg_error_surfaces_once(monkeypatch, two_wide):
+    """Every SVD off the calling thread fails, and the caller's are slowed
+    so that the helper takes some slices: one NumericalError, from the
+    LinAlgError, and nothing raised or warned on the helper thread."""
+    svd, caller = np.linalg.svd, threading.current_thread()
+
+    def failing_off_the_caller(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        time.sleep(0.02)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_off_the_caller)
+    stack = edge_stack("all complex")
+    if not two_wide:
+        transforms.svd_slices(stack)
+        return
+    with pytest.raises(NumericalError, match="failed to converge") as info:
+        transforms.svd_slices(stack)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert helpers() == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflow_in_every_piece_surfaces_once(two_wide):
+    stack = np.full((4, 2, 2), 1.5e308 + 0j)
+    stack[::2] *= 1j  # real and complex slices
+    for compute_uv in (True, False):
+        with pytest.raises(NumericalError, match="singular values are not finite"):
+            transforms.svd_slices(stack, compute_uv=compute_uv)
+    assert helpers() == 0
+
+
+def test_partial_factorization_stays_on_the_caller(monkeypatch):
+    range_svd, seen = transforms._range_svd, []
+
+    def recording(*args):
+        seen.append((threading.current_thread(), helpers()))
+        return range_svd(*args)
+
+    monkeypatch.setattr(transforms, "_range_svd", recording)
+    rng = np.random.default_rng(6)
+    stack = transforms.fft_stack(rng.standard_normal((70, 70, 6)))
+    transforms.partial_svd_slices(stack, rng.standard_normal((len(stack), 70, 5)))
+    assert len(seen) == 3  # the runs: real slice 0, complex 1-2, real slice 3
+    assert all(entry == (threading.current_thread(), 0) for entry in seen)
+
+
+def test_t_svd_peaks_no_higher_than_serial(monkeypatch, two_wide):
+    """A 64x64x16 t_svd: 9 stored slices, of which 1-7 are complex and
+    factored as one run on the serial path.  Two-wide, each thread holds one
+    slice's factors at a time, written into outputs allocated once, so the
+    peak is no higher than the serial one; holding the pieces until all are
+    factored would pass it by the two real slices' factors."""
+    m = np.random.default_rng(7).standard_normal((64, 64, 16))
+
+    def traced_peak():
+        decomposition.t_svd(m)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            decomposition.t_svd(m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak()
+    forced_off(monkeypatch)
+    assert peak <= traced_peak()
 
 
 def test_concurrent_solves_run_one_helper_at_a_time(monkeypatch, two_wide):
