@@ -16,6 +16,14 @@ a mirrored slice, one that is the conjugate of another stored slice.  A
 ``(slice, diag)``, and a ``PAIR_IM`` record appears nowhere else.  A header
 whose decoded tensor (``8 * n1 * ... * nN`` bytes) exceeds physical memory
 is refused.
+
+Both files are written over in place, without truncating on open: zeros
+stand in for the magic until every other byte is written and the file is cut
+to its new length, and the magic is written last.  A write that fails or is
+killed part-way leaves a file that the readers reject as a bad magic, and a
+tensor or payload that cannot be written raises before the file is opened,
+so it never changes an existing file.  Pipes and other special files are
+written front to back.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ import itertools
 import math
 import os
 import re
+import stat
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +85,44 @@ def tensor_to_bytes(a: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-def write_tensor(path, a: np.ndarray) -> None:
-    """Write ``a`` as a TSR1 file.  A tensor that cannot be written raises
-    before the file is opened, so it never truncates an existing file."""
-    chunks = _tensor_chunks(a)
-    with open(path, "wb") as f:
+def _open_in_place(path, flags: int) -> int:
+    """Open ``path`` with the flags of Python's ``"wb"`` less ``O_TRUNC``, and
+    the mode ``open`` creates files with."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+# Both magics, TSR1 and TSC1, are four bytes.
+_MAGIC_SIZE = 4
+
+
+def _write_in_place(path, chunks: Iterable) -> None:
+    """Write ``chunks``, the bytes of a TSR1 or TSC1 file, over ``path``.
+
+    A regular file is rewritten in place: cutting off its old contents on
+    open can cost more than the write (on a filesystem that discards freed
+    blocks), so the file is cut to its new length at the end.  Until then
+    zeros stand in for the magic, which is written last.
+    """
+    chunks = iter(chunks)
+    head = next(chunks)
+    with open(path, "wb", opener=_open_in_place) as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.write(head)
+            f.writelines(chunks)
+            return
+        f.write(bytes(_MAGIC_SIZE))
+        f.write(memoryview(head)[_MAGIC_SIZE:])
         f.writelines(chunks)
+        f.truncate()
+        f.seek(0)
+        f.write(head[:_MAGIC_SIZE])
+
+
+def write_tensor(path, a: np.ndarray) -> None:
+    """Write ``a`` as a TSR1 file, in place, magic last.  A tensor that
+    cannot be written raises before the file is opened, so it never changes
+    an existing file."""
+    _write_in_place(path, _tensor_chunks(a))
 
 
 def _tensor_layout(head: bytes, size: int) -> tuple[tuple[int, ...], int]:
@@ -296,7 +337,10 @@ def compressed_to_bytes(result: CompressionResult, dims) -> bytes:
 
 
 def write_compressed(path, result: CompressionResult, dims) -> None:
-    Path(path).write_bytes(compressed_to_bytes(result, dims))
+    """Write ``result`` as a TSC1 file, in place, magic last.  Dims that do
+    not match the compressed tensor raise ``DimensionError`` before the file
+    is opened, so they never change an existing file."""
+    _write_in_place(path, [compressed_to_bytes(result, dims)])
 
 
 def compressed_from_bytes(data: bytes):

@@ -30,9 +30,10 @@ factorizations let it come out non-finite, and :func:`check_finite` reports
 it as a ``NumericalError``, here for every singular value factored.
 
 On a machine with a core to spare, :func:`svd_slices` shares the full
-factorizations of each call with one helper thread, with the same results
-(:func:`_two_wide`); a process runs at most one helper at a time, and a call
-made while it runs stays on its caller.
+factorizations of each call that computes singular vectors with one helper
+thread, with the same results (:func:`_two_wide`); a process runs at most
+one helper at a time, and a call made while it runs stays on its caller, as
+does a values-only call.
 """
 
 from __future__ import annotations
@@ -412,8 +413,10 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     imaginary part is exactly zero is factored as a real matrix, so its
     factors have a zero imaginary part; :func:`fft_stack` makes every real
     slice exactly real.  An all-zero slice gets identity factors.  Where it
-    pays (:func:`_two_wide`), the slices are shared with a helper thread,
-    one at a time; the results are the same bytes.
+    pays (:func:`_two_wide`), the slices of a call with ``compute_uv`` are
+    shared with a helper thread, one at a time; the results are the same
+    bytes.  A values-only call stays on its caller, which measured no
+    slower than two-wide.
 
     Raises
     ------
@@ -425,10 +428,11 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     n1, n2 = stack.shape[1:]
     k = min(n1, n2)
     u, vh = ((n1, n1), (n2, n2)) if full_matrices else ((n1, k), (k, n2))
-    # A call made while the helper runs, as the solver's are, keeps its runs.
+    # A call made while the helper runs, as the solver's are, keeps its runs,
+    # as does a values-only one.
     return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv),
                           (u, (k,), vh) if compute_uv else ((k,),),
-                          two_wide=not _helper.locked() and _two_wide(n1, n2))
+                          two_wide=compute_uv and not _helper.locked() and _two_wide(n1, n2))
 
 
 def _range_svd(a: np.ndarray, v: np.ndarray):

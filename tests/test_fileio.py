@@ -1,7 +1,10 @@
+import itertools
 import os
 import re
+import stat
 import struct
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -214,6 +217,87 @@ class TestTensorWriter:
         with pytest.raises(DataError, match="non-numeric dtype"):
             fileio.tensor_to_bytes(tensor)
         assert path.read_bytes() == before
+
+
+class Torn(Exception):
+    pass
+
+
+class TestInPlaceWrites:
+    """Files are written over in place, magic last; special files front to
+    back."""
+
+    @pytest.mark.parametrize("before", [(6, 5, 4), (4, 3, 5), None], ids=["over-larger", "over-same-size", "fresh"])
+    def test_torn_write_leaves_a_bad_magic(self, tmp_path, monkeypatch, before):
+        """The stream raises after its header and first chunk.  Over a file
+        of the same size, a magic written first would leave a valid tensor
+        of new and old entries."""
+        path = tmp_path / "t.tsr"
+        if before is not None:
+            fileio.write_tensor(path, np.ones(before))
+        monkeypatch.setattr(fileio, "_WRITE_BUFFER", 8)
+        chunks = fileio._tensor_chunks
+
+        def torn(a):
+            yield from itertools.islice(chunks(a), 2)
+            raise Torn
+
+        monkeypatch.setattr(fileio, "_tensor_chunks", torn)
+        with pytest.raises(Torn):
+            fileio.write_tensor(path, np.random.default_rng(30).standard_normal((4, 3, 5)))
+        with pytest.raises(FormatError, match="bad magic"):
+            fileio.read_tensor(path)
+
+    def test_smaller_tensor_over_a_larger_file(self, tmp_path):
+        path = tmp_path / "t.tsr"
+        fileio.write_tensor(path, np.ones((6, 5, 4, 3)))
+        tensor = np.random.default_rng(31).standard_normal((4, 3, 5))
+        fileio.write_tensor(path, tensor)
+        assert path.read_bytes() == fileio.tensor_to_bytes(tensor)
+
+    def test_smaller_payload_over_a_larger_file(self, tmp_path):
+        rng = np.random.default_rng(32)
+        path = tmp_path / "c.tsc"
+        fileio.write_compressed(path, compression.compress(rng.standard_normal((6, 5, 8)), "tsvd_tubal", 4), (6, 5, 8))
+        result = compression.compress(rng.standard_normal((5, 4, 6)), "tsvd", 3)
+        fileio.write_compressed(path, result, (5, 4, 6))
+        assert path.read_bytes() == fileio.compressed_to_bytes(result, (5, 4, 6))
+
+    @pytest.mark.skipif(not hasattr(os, "link"), reason="needs hard links")
+    def test_the_file_keeps_its_inode_and_mode(self, tmp_path):
+        path, link = tmp_path / "t.tsr", tmp_path / "link.tsr"
+        fileio.write_tensor(path, np.ones((6, 5, 4)))
+        os.chmod(path, 0o640)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        tensor = np.random.default_rng(33).standard_normal((4, 3, 5))
+        fileio.write_tensor(path, tensor)
+        assert link.read_bytes() == fileio.tensor_to_bytes(tensor)
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_a_new_file_gets_the_mode_of_wb(self, tmp_path):
+        (tmp_path / "wb").write_bytes(b"")
+        fileio.write_tensor(tmp_path / "t.tsr", np.ones((2, 2, 2)))
+        assert (tmp_path / "t.tsr").stat().st_mode == (tmp_path / "wb").stat().st_mode
+
+    def test_devnull(self):
+        m = np.random.default_rng(34).standard_normal((5, 4, 6))
+        fileio.write_tensor(os.devnull, m)
+        fileio.write_compressed(os.devnull, compression.compress(m, "tsvd", 3), m.shape)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_gets_the_exact_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_WRITE_BUFFER", 64)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        tensor = np.random.default_rng(35).standard_normal((9, 8, 7))
+        fileio.write_tensor(fifo, tensor)
+        reader.join(timeout=30)
+        assert got == [fileio.tensor_to_bytes(tensor)]
 
 
 class TestMaskFiles:

@@ -131,6 +131,15 @@ def test_factorizations_match_the_serial_bytes(monkeypatch, two_wide, dims):
     assert factorizations(m) == got
 
 
+def test_values_only_stays_on_the_caller(monkeypatch, two_wide):
+    stack = transforms.fft_stack(np.random.default_rng(8).standard_normal((9, 7, 8)))
+    seen = helpers_in_svd(monkeypatch)
+    got = as_bytes(transforms.svd_slices(stack, compute_uv=False))
+    assert seen and max(seen) == 0
+    forced_off(monkeypatch)
+    assert as_bytes(transforms.svd_slices(stack, compute_uv=False)) == got
+
+
 def edge_stack(kind: str) -> np.ndarray:
     rng = np.random.default_rng(5)
     count = {"empty": 0, "one slice": 1}.get(kind, 4)
