@@ -15,6 +15,7 @@ batches with the helper thread of :mod:`tsvdkit.transforms`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,10 @@ class AdmmConfig:
     positivity: bool = False
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise DataError(f"rho must be positive and finite, got {self.rho}")
-        if not 0 < self.tol_primal < math.inf:
-            raise DataError(f"tol_primal must be positive and finite, got {self.tol_primal}")
+        for name in ("rho", "tol_primal"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+                raise DataError(f"{name} must be positive and finite, got {value!r}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise DataError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 

@@ -63,20 +63,61 @@ def _tensor_chunks(a) -> Iterator:
     """The TSR1 bytes of ``a``: its header, then its entries as ``<f8`` in
     column-major order, one buffer at a time.
 
-    The payload streams through numpy's buffered iterator, so a writer holds
-    no copy of the tensor; a Fortran-contiguous float64 tensor is written
-    from its own memory.  The iterator reuses its buffer, so each chunk must
-    be written before the next is drawn.  The tensor is checked, and the
-    conversion set up, when this is called, before a byte is drawn.
+    A Fortran-contiguous float64 tensor is written from its own memory;
+    any other is reordered and converted into one buffer of
+    ``_WRITE_BUFFER`` values (:func:`_column_major`), so a writer holds no
+    copy of the tensor.  The buffer is reused, so each chunk must be written
+    before the next is drawn.  The tensor is checked, and a complex one
+    warns of its conversion, when this is called, before a byte is drawn.
     """
     a = np.asarray(a)
     check_dims(a.shape)
     if a.dtype.kind not in _NUMERIC_KINDS:
         raise DataError(f"cannot write a tensor of non-numeric dtype {a.dtype}")
     header = TENSOR_MAGIC + struct.pack("<B", a.ndim) + np.asarray(a.shape, dtype="<u8").tobytes()
-    payload = np.nditer(a, flags=["external_loop", "buffered"], op_flags=[["readonly", "contig"]],
-                        op_dtypes=["<f8"], casting="unsafe", order="F", buffersize=_WRITE_BUFFER)
+    if a.dtype == np.dtype("<f8") and a.flags.f_contiguous:
+        payload = [a.reshape(-1, order="F")]
+    else:
+        # A cast of no entries warns as the whole conversion would; the real
+        # part of a complex tensor is then a float view that converts silently.
+        np.empty(0, a.dtype).astype("<f8")
+        payload = _column_major(a.real, np.empty(min(a.size, _WRITE_BUFFER), dtype="<f8"))
     return itertools.chain([header], payload)
+
+
+def _column_major(a, buf) -> Iterator:
+    """The entries of ``a`` as ``<f8`` in column-major order, in chunks of
+    at most ``buf.size`` values, each a view of ``buf``.
+
+    A chunk is the whole trailing slabs ``a[..., k0:k1]`` that fit in the
+    buffer; a slab larger than the buffer is split the same way, one order
+    down.  A chunk is copied as its transpose into the C-ordered reverse of
+    its shape, so the copy walks the chunk's first axis innermost and its
+    trailing axis outermost.  Where the first axis is strided and the chunk
+    holds several trailing indices, a line of cache read for one trailing
+    index holds entries of the next ones, so the copy goes in tiles along
+    axis 1 of the transpose, small enough that those lines stay in cache
+    until they are read again (a blocked transpose).
+    """
+    slab = math.prod(a.shape[:-1])
+    if slab > buf.size:
+        for k in range(a.shape[-1]):
+            yield from _column_major(a[..., k], buf)
+        return
+    step = buf.size // slab
+    # Values per tile: 16384 at the default buffer, whose source lines of
+    # cache, at most one per value (1 MiB), fit in a core's L2.
+    tile = _WRITE_BUFFER // 32
+    for k in range(0, a.shape[-1], step):
+        chunk = a[..., k:k + step]
+        src, out = chunk.T, buf[:chunk.size].reshape(chunk.shape[::-1])
+        if chunk.ndim < 2 or chunk.shape[-1] == 1 or abs(chunk.strides[0]) <= a.itemsize:
+            np.copyto(out, src, casting="unsafe")
+        else:
+            width = max(1, tile * out.shape[1] // out.size)
+            for j in range(0, out.shape[1], width):
+                np.copyto(out[:, j:j + width], src[:, j:j + width], casting="unsafe")
+        yield buf[:chunk.size]
 
 
 def tensor_to_bytes(a: np.ndarray) -> bytes:
@@ -200,7 +241,7 @@ def read_coordinate_mask(path, dims) -> np.ndarray:
     ``+`` ('#' starts a comment, which may hold any bytes).  A malformed line
     raises ``FormatError`` naming ``path`` and the first bad line.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims, "mask")
     mask = np.zeros(dims, dtype=bool)
     # Latin-1 maps every byte to one character: no file fails to decode, and
     # a non-ASCII byte outside a comment fails as a token.  A file without

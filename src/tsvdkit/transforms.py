@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import numbers
 import os
 import sys
 import threading
@@ -490,8 +491,8 @@ class SamplingOperator:
     @classmethod
     def bernoulli(cls, dims, rate: float, seed: int) -> "SamplingOperator":
         """Seeded independent Bernoulli(``rate``) mask over the given dims."""
-        if not 0.0 <= rate <= 1.0:
-            raise DataError(f"sampling rate must lie in [0, 1], got {rate}")
+        if not isinstance(rate, numbers.Real) or not 0.0 <= rate <= 1.0:
+            raise DataError(f"sampling rate must lie in [0, 1], got {rate!r}")
         return cls(seeded_rng(seed).random(tuple(dims)) < rate)
 
     @property

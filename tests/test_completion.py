@@ -617,8 +617,9 @@ class TestConfigValidation:
             completion.AdmmConfig(tol_primal=0.0)
 
     @pytest.mark.parametrize("field", ["rho", "tol_primal"])
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0, "1", None, 1j])
     def test_non_finite_or_negative(self, field, value):
+        """Also a value that is not a real number at all."""
         with pytest.raises(DataError, match=f"{field} must be positive and finite"):
             completion.AdmmConfig(**{field: value})
 

@@ -162,6 +162,12 @@ def writer_inputs():
         tensor = rng.standard_normal(shape)
         name = "x".join(map(str, shape))
         cases += [pytest.param(tensor, id=f"C-{name}"), pytest.param(np.asfortranarray(tensor), id=f"F-{name}")]
+    # Larger than a tile of the default buffer, and than the smaller test
+    # buffers: slabs split across chunks, and chunks of several slabs with a
+    # short last one.
+    cases += [pytest.param(rng.standard_normal((300, 7, 5, 11)), id="C-300x7x5x11"),
+              pytest.param(rng.standard_normal((40, 6, 5, 4, 9)), id="C-40x6x5x4x9"),
+              pytest.param(rng.standard_normal((11, 300, 7, 5)).transpose(1, 2, 3, 0), id="permuted-300x7x5x11")]
     tensor = rng.standard_normal((6, 5, 4, 3))
     strided = tensor[::2, :, ::-1]
     broadcast = np.broadcast_to(rng.standard_normal((5, 1, 3)), (5, 4, 3))
@@ -176,7 +182,7 @@ def writer_inputs():
 class TestTensorWriter:
     """What the streaming writer emits, against the whole-copy oracle."""
 
-    @pytest.mark.parametrize("buffer", [None, 7])
+    @pytest.mark.parametrize("buffer", [None, 7, 1000, 5000])
     @pytest.mark.parametrize("tensor", writer_inputs())
     def test_bytes_match_whole_copy(self, tmp_path, monkeypatch, tensor, buffer):
         if buffer is not None:
@@ -393,6 +399,16 @@ class TestCoordinateMask:
         path.write_text("3 1 1\n")
         with pytest.raises(FormatError):
             fileio.read_coordinate_mask(path, (2, 2, 2))
+
+    @pytest.mark.parametrize("dims,why", [((3, 4, -1), "has a negative extent"), ((2, 3), "must have order >= 3")])
+    def test_dims_checked_before_the_file(self, tmp_path, dims, why):
+        """Bad dims are the mask's DimensionError, for a file whose lines
+        would fit them and for a file that does not exist."""
+        path = tmp_path / "coords.txt"
+        path.write_text("1 1 1\n")
+        for p in (path, tmp_path / "missing.txt"):
+            with pytest.raises(DimensionError, match=f"^mask {why}"):
+                fileio.read_coordinate_mask(p, dims)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", " \t\n# a\r\n  # b"])

@@ -2,6 +2,8 @@
 below 3 or a zero extent raises ``DimensionError``, never a ``ValueError``
 or a numpy warning (warnings are raised as errors here)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ ENTRY_POINTS = {
     "random_low_tubal_rank": lambda s: random_low_tubal_rank(s, 0, 0),
     "k_max": lambda s: compression.k_max("tsvd", s),
     "tensor_to_bytes": lambda s: fileio.tensor_to_bytes(np.zeros(s)),
+    "read_coordinate_mask": lambda s: fileio.read_coordinate_mask(os.devnull, s),
     "t_svd": lambda s: t_svd(np.zeros(s)),
     "rank_measures": lambda s: rank_measures(np.zeros(s)),
     "complete": lambda s: complete(np.zeros(s), np.ones(s, dtype=bool)),

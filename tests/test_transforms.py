@@ -431,6 +431,9 @@ class TestSamplingOperator:
         assert 0.2 < a.mask.mean() < 0.6
         with pytest.raises(DataError):
             transforms.SamplingOperator.bernoulli((2, 2, 2), 1.5, seed=0)
+        for rate in ("0.5", None, 0.5j):
+            with pytest.raises(DataError, match="sampling rate must lie in"):
+                transforms.SamplingOperator.bernoulli((2, 2, 2), rate, 0)
 
 
 class TestSeeds:
