@@ -8,8 +8,8 @@ spectral frontal slice (the proximal map of the penalty, threshold
 ``1/rho``), and a unit-step dual update.  Once the iterate has low rank, the
 shrinkage computes only the leading singular triplets of each slice.  It
 factors a few slices at a time, so the factors of the whole spectral stack
-are never held at once; the full factorizations of each call share their
-batches with the helper thread of :mod:`tsvdkit.transforms`.
+are never held at once; the full factorizations of a call may share its
+slices, one at a time, with the helper thread of :mod:`tsvdkit.transforms`.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ def svt(w, tau: float) -> np.ndarray:
     return stack[0] if np.iscomplexobj(w) else stack[0].real
 
 
-# The shrink step factors and rewrites a spectral stack one batch of stored
-# slices at a time, ceil(slices / _BATCHES) slices per batch, so that slice
-# factors are never held for the whole stack at once.
+# On one thread, the shrink step factors and rewrites a spectral stack one
+# batch of ceil(slices / _BATCHES) stored slices at a time, so that slice
+# factors are never held for the whole stack; its basis is held per batch.
 _BATCHES = 8
 
 # Right-basis columns kept beyond the iterate rank between shrink steps.
@@ -107,11 +107,6 @@ _OVERSAMPLE = 5
 def _batches(count: int) -> list[slice]:
     size = -(-count // _BATCHES)
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
-
-
-def _halves(batch: slice) -> list[slice]:
-    mid = (batch.start + batch.stop + 1) // 2
-    return [slice(batch.start, mid), slice(mid, batch.stop)] if batch.stop - batch.start > 1 else [batch]
 
 
 def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> int:
@@ -129,46 +124,45 @@ def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau
     return rank
 
 
-def _shrink(stack: np.ndarray, tau: float, keep: int = 0, two_wide: bool = False):
+def _shrink(stack: np.ndarray, tau: float, keep: int = 0):
     """svt on every slice of a contiguous complex128 stack, in place, from
-    full slice SVDs, batch by batch (:func:`_batches`), on the caller and,
-    when ``two_wide``, a helper thread (:func:`transforms._map`).
+    full slice SVDs.  When :func:`transforms._two_wide` allows, the slices
+    are shared with the helper thread one at a time
+    (:func:`transforms._map`); else they are factored batch by batch
+    (:func:`_batches`) on the caller.
 
     Returns the thresholded singular values (one row per slice), the rank
     (the largest per-slice count of ``sigma > tau``), and, one array per
     batch, the leading ``keep`` right singular vectors of its slices, or
     None when the rank is above ``keep - _OVERSAMPLE``.  A threshold that
-    is not ``>= 0`` (NaN) raises ``DataError``; an infinite one gives 0.
+    is not a real number ``>= 0`` raises ``DataError``; an infinite one
+    gives 0.
     """
-    if not tau >= 0:
-        raise DataError(f"threshold must be nonnegative, got {tau}")
+    if not isinstance(tau, numbers.Real) or not tau >= 0:
+        raise DataError(f"threshold must be nonnegative, got {tau!r}")
     count, n1, n2 = stack.shape
     shrunk = np.empty((count, min(n1, n2)))
     batches = _batches(count)
-    # Two-wide, each batch is factored in halves, which the two threads may
-    # take at once: the factors in flight stay about one batch.
-    parts = [(j, part) for j, batch in enumerate(batches) for part in (_halves(batch) if two_wide else [batch])]
+    two_wide = transforms._two_wide(n1, n2)
+    # Shared, each slice is a piece of its own: the two threads then hold
+    # two slices' factors at a time.
+    pieces = [slice(i, i + 1) for i in range(count)] if two_wide else batches
 
     def factor(i: int):
-        part = parts[i][1]
-        u, s, vh = transforms.svd_slices(stack[part], full_matrices=False)
-        rank = _write(stack[part], u, s, vh, tau)
-        shrunk[part] = s
-        # A part over the cap copies nothing; the copies of the others go
-        # unused when any part is.
+        piece = pieces[i]
+        u, s, vh = transforms.svd_slices(stack[piece], full_matrices=False)
+        rank = _write(stack[piece], u, s, vh, tau)
+        shrunk[piece] = s
+        # A piece over the cap copies nothing; the copies of the others go
+        # unused when any piece is.
         return rank, vh[:, :keep].copy() if rank + _OVERSAMPLE <= keep else None
 
-    results = transforms._map(factor, len(parts), two_wide)
+    results = transforms._map(factor, len(pieces), two_wide)
     rank = max(r for r, _ in results)
     if rank + _OVERSAMPLE > keep:
         return shrunk, rank, None
-    lead = [[] for _ in batches]
-    for (j, _), (_, vh) in zip(parts, results):
-        lead[j].append(vh)
-    del results  # so that each batch's halves are freed once joined
-    for j, halves in enumerate(lead):
-        lead[j] = halves[0] if len(halves) == 1 else np.concatenate(halves)
-    return shrunk, rank, lead
+    vhs = [vh for _, vh in results]
+    return shrunk, rank, [np.concatenate(vhs[batch]) for batch in batches] if two_wide else vhs
 
 
 class _RankAdaptiveShrink:
@@ -187,19 +181,17 @@ class _RankAdaptiveShrink:
     be wider than ``min(n1, n2) // 2``, runs the full
     :func:`transforms.svd_slices`.
 
-    Both paths work batch by batch (:func:`_batches`), and the basis is held
-    as one array per batch.  The partial path keeps the narrow factors of
-    every batch until all slices pass the check, then writes them.  Where it
-    pays (:func:`transforms._two_wide`), each call of the full path shares its
-    batches with a helper thread; the partial path runs on the caller, its
-    batches being too small to gain from the handoffs.
+    The basis is held as one array per batch (:func:`_batches`).  The
+    partial path works batch by batch on the caller, its batches being too
+    small to gain from the helper thread's handoffs; it keeps the narrow
+    factors of every batch until all slices pass the check, then writes
+    them.  The full path is :func:`_shrink`, which may share its slices.
     """
 
     def __init__(self, n1: int, n2: int):
         self.max_width = min(n1, n2) // 2
         self.basis: list[np.ndarray] | None = None
         self.rng = np.random.default_rng(0)
-        self.two_wide = transforms._two_wide(n1, n2)
 
     def __call__(self, stack: np.ndarray, tau: float):
         """svt with threshold ``tau`` on every slice of a contiguous
@@ -207,7 +199,7 @@ class _RankAdaptiveShrink:
         (one row per slice) and the rank, as :func:`_shrink` does."""
         factors = None if self.basis is None else self._partial(stack, tau)
         if factors is None:
-            shrunk, rank, vhs = _shrink(stack, tau, self.max_width, self.two_wide)
+            shrunk, rank, vhs = _shrink(stack, tau, self.max_width)
         else:
             rank = max(_write(stack[batch], *f, tau) for batch, f in zip(_batches(len(stack)), factors))
             shrunk = np.concatenate([s for _, s, _ in factors])

@@ -29,6 +29,7 @@ names one.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -110,8 +111,8 @@ def k_for_ratio(method: str, dims, target_ratio: float) -> int:
         If the target is below 1 or NaN, or exceeds the ratio at ``k = 1``.
     """
     per_k, top = _costs(method, dims)
-    if not target_ratio >= 1.0:
-        raise InfeasibleError(f"target ratio must be >= 1, got {target_ratio}")
+    if not isinstance(target_ratio, numbers.Real) or not target_ratio >= 1.0:
+        raise InfeasibleError(f"target ratio must be >= 1, got {target_ratio!r}")
     # ratio_for(k) = prod(dims) / (k * per_k) falls as k grows: invert it,
     # then step once past the rounding of the division.
     k = min(top, math.floor(math.prod(int(d) for d in dims) / (per_k * target_ratio)))
@@ -130,7 +131,7 @@ def k_for_ratio(method: str, dims, target_ratio: float) -> int:
 def _check_k(method: str, dims, k: int) -> int:
     """Scalars stored per unit of k, once k is checked against its range."""
     per_k, top = _costs(method, dims)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= top:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 1 <= k <= top:
         raise InfeasibleError(f"k={k} is not an integer in [1, {top}] for method {method} on dims {tuple(dims)}")
     return per_k
 

@@ -10,6 +10,7 @@ all in one batched call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,8 +129,8 @@ def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
 def rank_measures(m, tol: float = 1e-8) -> dict:
     """Multi-rank, tubal rank, TNN and TTN from one pass of spectral singular
     values, keyed by the names of the functions that return each."""
-    if not 0 <= tol < math.inf:
-        raise DataError(f"tol must be nonnegative and finite, got {tol}")
+    if not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+        raise DataError(f"tol must be nonnegative and finite, got {tol!r}")
     m = check_tensor(m)
     trailing = m.shape[2:]
     sig = transforms.svd_slices(transforms.fft_stack(m), compute_uv=False).T

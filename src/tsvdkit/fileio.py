@@ -341,22 +341,26 @@ def read_pgm(path) -> np.ndarray:
 
 def read_pgm_stack(directory) -> np.ndarray:
     """Stack every ``*.pgm`` frame of a directory into a height x width x
-    frames tensor, frames in lexicographic filename order."""
+    frames tensor, frames in lexicographic filename order, filled one frame
+    at a time in Fortran order, which :func:`write_tensor` writes as is."""
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"{directory} is not a directory")
     paths = sorted(p for p in directory.iterdir() if p.suffix.lower() == ".pgm")
     if not paths:
         raise FormatError(f"no .pgm files in {directory}")
-    frames = [read_pgm(p) for p in paths]
-    shape = frames[0].shape
-    for p, frame in zip(paths, frames):
-        if frame.shape != shape:
+    out = None
+    for j, p in enumerate(paths):
+        frame = read_pgm(p)
+        if out is None:
+            out = np.empty(frame.shape + (len(paths),), order="F")
+        elif frame.shape != out.shape[:2]:
             raise FormatError(
                 f"{p}: frame size {frame.shape[1]}x{frame.shape[0]} differs from "
-                f"first frame {shape[1]}x{shape[0]}"
+                f"first frame {out.shape[1]}x{out.shape[0]}"
             )
-    return np.stack(frames, axis=2)
+        out[:, :, j] = frame
+    return out
 
 
 def compressed_to_bytes(result: CompressionResult, dims) -> bytes:

@@ -29,11 +29,12 @@ Overflow is never a numpy warning: the transforms and the slice
 factorizations let it come out non-finite, and :func:`check_finite` reports
 it as a ``NumericalError``, here for every singular value factored.
 
-On a machine with a core to spare, :func:`svd_slices` shares the full
-factorizations of each call that computes singular vectors with one helper
-thread, with the same results (:func:`_two_wide`); a process runs at most
-one helper at a time, and a call made while it runs stays on its caller, as
-does a values-only call.
+One rule, :func:`_two_wide`, decides whether a call shares its full slice
+factorizations, one slice at a time and with the same results, with a
+helper thread: a core to spare, and no other call holding the one helper a
+process runs.  :func:`svd_slices` asks it for each call with singular
+vectors, and the solver's shrink step for each full step; a values-only
+call stays on its caller.
 """
 
 from __future__ import annotations
@@ -305,10 +306,10 @@ def _has_siblings() -> bool:
 
 
 def _two_wide(n1: int, n2: int) -> bool:
-    """Whether the full SVDs of ``n1 x n2`` slices pay for a helper thread
-    in this process (:func:`_two_wide_pays`)."""
-    blas_threads = _blas_threads(_blas_name(), os.environ)
-    return _two_wide_pays(_usable_cores(), blas_threads, n1, n2, _has_siblings())
+    """Whether the full SVDs of ``n1 x n2`` slices take the helper thread: no
+    other call holds it, and it pays in this process (:func:`_two_wide_pays`)."""
+    return not _helper.locked() and _two_wide_pays(
+        _usable_cores(), _blas_threads(_blas_name(), os.environ), n1, n2, _has_siblings())
 
 
 # Held while a helper thread runs, so that concurrent calls cannot take more
@@ -413,11 +414,11 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     (:func:`_factor_slices`), so no slice is copied out.  A slice whose
     imaginary part is exactly zero is factored as a real matrix, so its
     factors have a zero imaginary part; :func:`fft_stack` makes every real
-    slice exactly real.  An all-zero slice gets identity factors.  Where it
-    pays (:func:`_two_wide`), the slices of a call with ``compute_uv`` are
-    shared with a helper thread, one at a time; the results are the same
-    bytes.  A values-only call stays on its caller, which measured no
-    slower than two-wide.
+    slice exactly real.  An all-zero slice gets identity factors.  When
+    :func:`_two_wide` allows, the slices of a call with ``compute_uv`` are
+    shared with the helper thread, one at a time, with the same bytes.  A
+    call made while the helper runs, as in the solver's shared pieces,
+    stays on its caller, as does a values-only one (no slower measured).
 
     Raises
     ------
@@ -429,11 +430,8 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     n1, n2 = stack.shape[1:]
     k = min(n1, n2)
     u, vh = ((n1, n1), (n2, n2)) if full_matrices else ((n1, k), (k, n2))
-    # A call made while the helper runs, as the solver's are, keeps its runs,
-    # as does a values-only one.
     return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv),
-                          (u, (k,), vh) if compute_uv else ((k,),),
-                          two_wide=compute_uv and not _helper.locked() and _two_wide(n1, n2))
+                          (u, (k,), vh) if compute_uv else ((k,),), two_wide=compute_uv and _two_wide(n1, n2))
 
 
 def _range_svd(a: np.ndarray, v: np.ndarray):

@@ -52,6 +52,12 @@ class TestGen:
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparsable_dims_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "d.tsr"
+        assert main(["gen", "3xAx4", "--rank", "1", "--out", str(out)]) == 2
+        assert "cannot parse dims '3xAx4'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_order4(self, tmp_path, capsys):
         out = tmp_path / "m4.tsr"
         code, _ = run(capsys, "gen", "6x6x4x3", "--rank", "2", "--out", str(out))

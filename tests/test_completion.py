@@ -44,6 +44,15 @@ class TestSvt:
         with pytest.raises(DataError, match="threshold must be nonnegative"):
             completion.svt(np.eye(2), np.nan)
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(DimensionError, match="svt expects a matrix, got order 3"):
+            completion.svt(np.ones((2, 2, 2)), 1.0)
+
+    @pytest.mark.parametrize("tau", [1j, "1", None])
+    def test_non_real_threshold_rejected(self, tau):
+        with pytest.raises(DataError, match="threshold must be nonnegative"):
+            completion.svt(np.eye(2), tau)
+
     def test_infinite_threshold_gives_zero(self):
         """The prox of an infinite penalty is 0."""
         w = np.random.default_rng(10).standard_normal((4, 3))
@@ -86,7 +95,7 @@ class TestShrinkStep:
         out = completion.shrink_step(np.zeros((3, 3, 4), dtype=complex), 0.5)
         assert np.array_equal(out, np.zeros((3, 3, 4), dtype=complex))
 
-    @pytest.mark.parametrize("tau", [-0.1, np.nan])
+    @pytest.mark.parametrize("tau", [-0.1, np.nan, None, 1j, "1"])
     def test_bad_threshold_rejected(self, tau):
         with pytest.raises(DataError, match="threshold must be nonnegative"):
             completion.shrink_step(np.zeros((3, 3, 4), dtype=complex), tau)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tsvdkit import algebra, compression, decomposition, synthesis, transforms
 from tsvdkit.compression import HALF, PAIR_IM, PAIR_RE, SELF
-from tsvdkit.errors import DataError, FormatError, InfeasibleError, NumericalError
+from tsvdkit.errors import DataError, DimensionError, FormatError, InfeasibleError, NumericalError
 
 from tsvd_decode_reference import decode_tsvd_reference
 
@@ -77,7 +77,7 @@ class TestKForRatio:
         with pytest.raises(InfeasibleError):
             compression.k_for_ratio("svd", (10, 10, 10), 0.5)
 
-    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 1 - 1e-16])
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 1 - 1e-16, 1j, "2"])
     def test_nonfinite_or_low_target_rejected(self, target):
         for method in compression.METHODS:
             with pytest.raises(InfeasibleError):
@@ -262,7 +262,7 @@ class TestCompressSweep:
         assert factorizations == {"t_svd": 0, "svd": 0}
 
 
-@pytest.mark.parametrize("method,k", [("svd", 1.5), ("tsvd", 2.5), ("tsvd_tubal", 1.0)])
+@pytest.mark.parametrize("method,k", [("svd", 1.5), ("tsvd", 2.5), ("tsvd_tubal", 1.0), ("svd", True), ("tsvd", True)])
 def test_compress_rejects_a_non_integer_k(method, k):
     m = np.random.default_rng(17).standard_normal((4, 4, 3))
     with pytest.raises(InfeasibleError, match="not an integer"):
@@ -330,6 +330,14 @@ class TestDecodePayload:
                 continue
             assert all(np.isfinite(b).all() for b in result.payload)
             assert result.rse_db == pytest.approx(compression.compress(unit, method, k).rse_db, abs=1e-9)
+
+    def test_wrong_scalar_count_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="payload holds 4 scalars, expected 8"):
+            compression.decode_payload("svd", (2, 2, 3), 1, np.ones(4), [])
+
+    def test_wrong_record_count_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="tsvd payload carries 1 records, expected 2"):
+            compression.decode_payload("tsvd", (2, 2, 3), 2, np.ones(10), [(0, 0, 0)])
 
     def test_scalars_may_be_a_list(self):
         m = np.random.default_rng(10).standard_normal((6, 5, 4))

@@ -213,7 +213,7 @@ def test_rank_measures_follow_the_scale(scale):
 
 
 class TestRankMeasuresTol:
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300])
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300, 1j, "a"])
     def test_bad_tol_raises_before_factoring(self, tol, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("factored before checking tol")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from coordinate_mask_reference import read_coordinate_mask_reference
 from pgm_reference import read_pgm_reference
-from tsvdkit import compression, fileio, transforms
+from tsvdkit import cli, compression, fileio, transforms
 from tsvdkit.errors import DataError, DimensionError, FormatError, NumericalError
 
 
@@ -534,6 +534,45 @@ class TestPgm:
         with pytest.raises(FormatError):
             fileio.read_pgm_stack(tmp_path)
 
+    def test_stack_is_fortran_ordered_with_the_stacked_bytes(self, tmp_path):
+        """import-pgm writes the frames stacked along axis 2, from a tensor
+        in Fortran order."""
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        rows = np.random.default_rng(13).integers(0, 256, size=(4, 5, 7))
+        for idx, frame in enumerate(rows):
+            write_pgm(frames / f"f{idx}.pgm", frame.tolist())
+        assert fileio.read_pgm_stack(frames).flags.f_contiguous
+        out = tmp_path / "v.tsr"
+        assert cli.main(["import-pgm", str(frames), "--out", str(out), "--metrics", str(tmp_path / "m.json")]) == 0
+        assert out.read_bytes() == tsr_oracle(np.stack(list(rows), axis=2) / 255)
+
+    def test_stack_holds_one_frame_besides_the_tensor(self, tmp_path):
+        """The traced peak is the tensor and at most two frames' parsing,
+        not the tensor and every frame again, as stacking a list of the
+        frames holds."""
+        rows = np.random.default_rng(14).integers(0, 256, size=(32, 16, 16))
+        for idx, frame in enumerate(rows):
+            write_pgm(tmp_path / f"f{idx:02}.pgm", frame.tolist())
+
+        def traced_peak(fn, *args):
+            fn(*args)  # lazy set-up outside the trace
+            tracemalloc.start()
+            try:
+                return fn(*args), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, frame_peak = traced_peak(fileio.read_pgm, tmp_path / "f00.pgm")
+        tensor, peak = traced_peak(fileio.read_pgm_stack, tmp_path)
+        assert peak <= tensor.nbytes + 2 * frame_peak
+
+    def test_file_for_a_directory_rejected(self, tmp_path):
+        path = tmp_path / "only.pgm"
+        write_pgm(path, [[0]])
+        with pytest.raises(FormatError, match="is not a directory"):
+            fileio.read_pgm_stack(path)
+
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             fileio.read_pgm_stack(tmp_path)
@@ -546,6 +585,13 @@ class TestPgm:
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.pgm").write_text("P5\n2 2\n255\nxxxx")
         with pytest.raises(FormatError):
+            fileio.read_pgm(tmp_path / "bad.pgm")
+
+    @pytest.mark.parametrize("text,reason", [("P2\n2 2\n", "truncated PGM header"),
+                                             ("P2\n0 2\n255\n", "bad PGM dimensions 0x2")])
+    def test_bad_header(self, tmp_path, text, reason):
+        (tmp_path / "bad.pgm").write_text(text)
+        with pytest.raises(FormatError, match=reason):
             fileio.read_pgm(tmp_path / "bad.pgm")
 
     def test_pixel_count_mismatch(self, tmp_path):

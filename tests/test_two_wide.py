@@ -45,9 +45,19 @@ class TestMemoryBounds:
     )
 
 
-def test_worker_follows_the_forced_rule(two_wide):
-    shrink = completion._RankAdaptiveShrink(8, 8)
-    assert shrink.two_wide is two_wide
+def test_worker_follows_the_forced_rule(monkeypatch, two_wide):
+    """Forced on, a 64x64 solve starts a helper thread; forced off, none."""
+    start, started = threading.Thread.start, []
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    mask = transforms.SamplingOperator.bernoulli((64, 64, 4), 0.5, seed=0)
+    y = mask.apply(synthesis.random_low_tubal_rank((64, 64, 4), 2, seed=0))
+    completion.complete(y, mask, completion.AdmmConfig(max_iter=2))
+    assert ("tsvdkit-shrink" in started) is two_wide
 
 
 @pytest.mark.parametrize("action", ["error", "always"])
