@@ -22,6 +22,9 @@ from tsvdkit.completion import AdmmConfig, complete
 from tsvdkit.synthesis import random_low_tubal_rank
 from tsvdkit.transforms import SamplingOperator
 
+# The CSV columns, also written when there are no runs.
+FIELDS = ["rate", "data_seed", "mask_seed", "iterations", "converged", "rse_db", "final_rank"]
+
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -67,7 +70,7 @@ def main(argv=None) -> int:
         print(f"rate {rate:.2f}: median RSE {np.median(rses):8.2f} dB over {args.seeds} runs")
 
     with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(handle, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")

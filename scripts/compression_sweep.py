@@ -5,7 +5,7 @@ Loads a tensor file (or synthesizes a low-tubal-rank tensor when --input is
 omitted) and, for a grid of target ratios, runs each scheme at the largest
 retention parameter meeting the target, factoring the tensor once per scheme.
 Emits one CSV row per (method, target) pair; infeasible targets are skipped
-with a note.
+with a note, so a grid of infeasible targets writes the header alone.
 
 Example:
     python scripts/compression_sweep.py --input video.tsr \
@@ -19,6 +19,9 @@ import sys
 from tsvdkit import compression, fileio
 from tsvdkit.errors import InfeasibleError
 from tsvdkit.synthesis import random_low_tubal_rank
+
+# The CSV columns, also written when every target is infeasible.
+FIELDS = ["method", "target_ratio", "k", "ratio", "stored_scalars", "rse_db"]
 
 
 def parse_args(argv=None):
@@ -78,7 +81,7 @@ def main(argv=None) -> int:
                   f"ratio={result.ratio:7.3f} RSE={result.rse_db:8.2f} dB")
 
     with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(handle, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -6,10 +6,10 @@ The split-variable recursion alternates an exact constraint projection (done
 entrywise in the original domain), a singular-value shrinkage on every
 spectral frontal slice (the proximal map of the penalty, threshold
 ``1/rho``), and a unit-step dual update.  Once the iterate has low rank, the
-shrinkage computes only the leading singular triplets of each slice.  It
-factors a few slices at a time, so the factors of the whole spectral stack
-are never held at once; the full factorizations of a call may share its
-slices, one at a time, with the helper thread of :mod:`tsvdkit.transforms`.
+shrinkage computes only the leading singular triplets of each slice.  The
+factors of the whole spectral stack are never held at once: a full step
+factors one slice per piece, which it may share with the helper thread of
+:mod:`tsvdkit.transforms`, and a partial step a few slices at a time.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class AdmmConfig:
     def __post_init__(self):
         for name in ("rho", "tol_primal"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
                 raise DataError(f"{name} must be positive and finite, got {value!r}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool) or self.max_iter < 1:
             raise DataError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -96,9 +96,9 @@ def svt(w, tau: float) -> np.ndarray:
     return stack[0] if np.iscomplexobj(w) else stack[0].real
 
 
-# On one thread, the shrink step factors and rewrites a spectral stack one
-# batch of ceil(slices / _BATCHES) stored slices at a time, so that slice
-# factors are never held for the whole stack; its basis is held per batch.
+# The partial shrink step factors and rewrites a spectral stack one batch of
+# ceil(slices / _BATCHES) stored slices at a time, from a basis held per
+# batch, so that slice factors are never held for the whole stack.
 _BATCHES = 8
 
 # Right-basis columns kept beyond the iterate rank between shrink steps.
@@ -126,43 +126,35 @@ def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau
 
 def _shrink(stack: np.ndarray, tau: float, keep: int = 0):
     """svt on every slice of a contiguous complex128 stack, in place, from
-    full slice SVDs.  When :func:`transforms._two_wide` allows, the slices
-    are shared with the helper thread one at a time
-    (:func:`transforms._map`); else they are factored batch by batch
-    (:func:`_batches`) on the caller.
+    full slice SVDs, one slice per piece (:func:`transforms._each_slice`,
+    which may share them with the helper thread).
 
     Returns the thresholded singular values (one row per slice), the rank
     (the largest per-slice count of ``sigma > tau``), and, one array per
-    batch, the leading ``keep`` right singular vectors of its slices, or
-    None when the rank is above ``keep - _OVERSAMPLE``.  A threshold that
-    is not a real number ``>= 0`` raises ``DataError``; an infinite one
-    gives 0.
+    batch of the partial path (:func:`_batches`), the leading ``keep`` right
+    singular vectors of its slices, or None when the rank is above ``keep -
+    _OVERSAMPLE``.  A threshold that is not a real number ``>= 0`` raises
+    ``DataError``; an infinite one gives 0.
     """
-    if not isinstance(tau, numbers.Real) or not tau >= 0:
+    if not isinstance(tau, numbers.Real) or isinstance(tau, bool) or not tau >= 0:
         raise DataError(f"threshold must be nonnegative, got {tau!r}")
-    count, n1, n2 = stack.shape
-    shrunk = np.empty((count, min(n1, n2)))
-    batches = _batches(count)
-    two_wide = transforms._two_wide(n1, n2)
-    # Shared, each slice is a piece of its own: the two threads then hold
-    # two slices' factors at a time.
-    pieces = [slice(i, i + 1) for i in range(count)] if two_wide else batches
+    shrunk = np.empty((len(stack), min(stack.shape[1:])))
 
     def factor(i: int):
-        piece = pieces[i]
-        u, s, vh = transforms.svd_slices(stack[piece], full_matrices=False)
-        rank = _write(stack[piece], u, s, vh, tau)
-        shrunk[piece] = s
-        # A piece over the cap copies nothing; the copies of the others go
-        # unused when any piece is.
+        piece = stack[i:i + 1]
+        u, s, vh = transforms.svd_slices(piece, full_matrices=False)
+        rank = _write(piece, u, s, vh, tau)
+        shrunk[i] = s[0]
+        # A slice over the cap copies nothing; the copies of the others go
+        # unused when any slice is.
         return rank, vh[:, :keep].copy() if rank + _OVERSAMPLE <= keep else None
 
-    results = transforms._map(factor, len(pieces), two_wide)
+    results = transforms._each_slice(factor, stack)
     rank = max(r for r, _ in results)
     if rank + _OVERSAMPLE > keep:
         return shrunk, rank, None
     vhs = [vh for _, vh in results]
-    return shrunk, rank, [np.concatenate(vhs[batch]) for batch in batches] if two_wide else vhs
+    return shrunk, rank, [np.concatenate(vhs[batch]) for batch in _batches(len(stack))]
 
 
 class _RankAdaptiveShrink:
@@ -185,7 +177,8 @@ class _RankAdaptiveShrink:
     partial path works batch by batch on the caller, its batches being too
     small to gain from the helper thread's handoffs; it keeps the narrow
     factors of every batch until all slices pass the check, then writes
-    them.  The full path is :func:`_shrink`, which may share its slices.
+    them.  The full path is :func:`_shrink`, one slice per piece, which may
+    share its slices.
     """
 
     def __init__(self, n1: int, n2: int):

@@ -111,7 +111,7 @@ def k_for_ratio(method: str, dims, target_ratio: float) -> int:
         If the target is below 1 or NaN, or exceeds the ratio at ``k = 1``.
     """
     per_k, top = _costs(method, dims)
-    if not isinstance(target_ratio, numbers.Real) or not target_ratio >= 1.0:
+    if not isinstance(target_ratio, numbers.Real) or isinstance(target_ratio, bool) or not target_ratio >= 1.0:
         raise InfeasibleError(f"target ratio must be >= 1, got {target_ratio!r}")
     # ratio_for(k) = prod(dims) / (k * per_k) falls as k grows: invert it,
     # then step once past the rounding of the division.

@@ -119,7 +119,7 @@ def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
     ``DimensionError``, and an overflow ``NumericalError``.
     """
     n0 = min(factors.dims[0], factors.dims[1])
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n0:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 1 <= k <= n0:
         raise DimensionError(f"truncation index must be an integer in [1, {n0}], got {k}")
     u = factors.u_hat[:, :, :k] * factors.sig_hat[:, None, :k]
     vh = factors.v_hat[:, :, :k].conj().swapaxes(1, 2)
@@ -129,7 +129,7 @@ def truncate(factors: TSvdFactors, k: int) -> np.ndarray:
 def rank_measures(m, tol: float = 1e-8) -> dict:
     """Multi-rank, tubal rank, TNN and TTN from one pass of spectral singular
     values, keyed by the names of the functions that return each."""
-    if not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0 <= tol < math.inf:
         raise DataError(f"tol must be nonnegative and finite, got {tol!r}")
     m = check_tensor(m)
     trailing = m.shape[2:]

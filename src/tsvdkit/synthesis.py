@@ -22,7 +22,7 @@ def random_low_tubal_rank(dims, rank: int, seed: int) -> np.ndarray:
     check_fits(dims)
     n1, n2 = dims[:2]
     trailing = dims[2:]
-    if not isinstance(rank, (int, np.integer)) or not 0 <= rank <= min(n1, n2):
+    if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or not 0 <= rank <= min(n1, n2):
         raise InfeasibleError(f"tubal rank {rank!r} is not an integer in [0, {min(n1, n2)}] for dims {dims}")
     if rank == 0:
         return np.zeros(dims)

@@ -29,12 +29,13 @@ Overflow is never a numpy warning: the transforms and the slice
 factorizations let it come out non-finite, and :func:`check_finite` reports
 it as a ``NumericalError``, here for every singular value factored.
 
-One rule, :func:`_two_wide`, decides whether a call shares its full slice
-factorizations, one slice at a time and with the same results, with a
-helper thread: a core to spare, and no other call holding the one helper a
-process runs.  :func:`svd_slices` asks it for each call with singular
-vectors, and the solver's shrink step for each full step; a values-only
-call stays on its caller.
+A full slice factorization, one with singular vectors, takes one slice per
+piece, on one thread or two: :func:`_each_slice` runs the pieces, and shares
+them with a helper thread, with the same results, when :func:`_two_wide`
+finds a core to spare and no other call holds the one helper a process runs.
+:func:`svd_slices` with vectors and the solver's full shrink step run their
+pieces through it.  Values-only and partial factorizations take one run of
+like slices per piece, on the caller.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def check_fits(dims, name: str = "tensor") -> None:
 def seeded_rng(seed) -> np.random.Generator:
     """numpy's default generator for ``seed``, which must be a nonnegative
     integer, else ``DataError``."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
@@ -306,10 +307,9 @@ def _has_siblings() -> bool:
 
 
 def _two_wide(n1: int, n2: int) -> bool:
-    """Whether the full SVDs of ``n1 x n2`` slices take the helper thread: no
-    other call holds it, and it pays in this process (:func:`_two_wide_pays`)."""
-    return not _helper.locked() and _two_wide_pays(
-        _usable_cores(), _blas_threads(_blas_name(), os.environ), n1, n2, _has_siblings())
+    """Whether the full SVDs of ``n1 x n2`` slices pay to take the helper
+    thread in this process (:func:`_two_wide_pays`)."""
+    return _two_wide_pays(_usable_cores(), _blas_threads(_blas_name(), os.environ), n1, n2, _has_siblings())
 
 
 # Held while a helper thread runs, so that concurrent calls cannot take more
@@ -317,10 +317,10 @@ def _two_wide(n1: int, n2: int) -> bool:
 _helper = threading.Lock()
 
 
-def _map(fn, count: int, two_wide: bool) -> list:
-    """``[fn(i) for i in range(count)]``, on the caller and, when
-    ``two_wide`` and no other call holds one, a helper thread started for
-    this call and joined before it returns.
+def _each_slice(fn, stack: np.ndarray) -> list:
+    """``[fn(i) for i in range(len(stack))]``, on the caller and, when
+    :func:`_two_wide` allows for the stack's slices and no other call holds
+    one, a helper thread started for this call and joined before it returns.
 
     Each thread takes the next index as it finishes one, so a helper given
     less of a core holds up at most one call.  The helper runs ``fn`` in a
@@ -329,7 +329,8 @@ def _map(fn, count: int, two_wide: bool) -> list:
     raised once both threads have stopped; neither takes an index after an
     error.
     """
-    if not two_wide or count < 2 or not _helper.acquire(blocking=False):
+    count = len(stack)
+    if count < 2 or not _two_wide(*stack.shape[1:]) or not _helper.acquire(blocking=False):
         return [fn(i) for i in range(count)]
     results = [None] * count
     errors = {}
@@ -358,35 +359,35 @@ def _map(fn, count: int, two_wide: bool) -> list:
     return results
 
 
-def _factor_slices(stack: np.ndarray, factor, shapes, *per_slice: np.ndarray, two_wide: bool = False):
-    """Apply a batched factorization to a complex128 spectral stack, one
-    maximal run of consecutive slices of one kind at a time, and write its
-    outputs slice by slice.
+def _factor_slices(stack: np.ndarray, factor, shapes, *per_slice: np.ndarray, each: bool = False):
+    """Apply a batched factorization to a complex128 spectral stack, piece by
+    piece, and write its outputs slice by slice.
 
-    A slice whose imaginary part is exactly zero is real.  Each run is
+    With ``each``, as for the full SVDs with singular vectors, every slice
+    is a piece of its own, run by :func:`_each_slice`, which may share them
+    with the helper thread; a thread then holds one slice's factors at a
+    time.  Otherwise each maximal run of consecutive slices of one kind is a
+    piece, on the caller.
+
+    A slice whose imaginary part is exactly zero is real.  Each piece is
     factored in place, as a view of the stack, with the same view of each
-    ``per_slice`` operand; a real run is factored from ``.real`` views, so
+    ``per_slice`` operand; a real piece is factored from ``.real`` views, so
     its factors are real.  ``shapes`` gives each output's shape per slice:
     a matrix factor is complex128 and singular values are float64.  A stack
-    that is one run of complex slices has its factors returned as
-    ``factor`` gives them; any other stack's are written into outputs that
-    the caller allocates before anything is factored.
-
-    When ``two_wide``, every slice is a piece of its own, shared with the
-    helper thread (:func:`_map`): the helper then holds one slice's factors
-    at a time, and allocates nothing that outlives the call.
+    that is one complex piece has its factors returned as ``factor`` gives
+    them; any other stack's are written into outputs that are allocated
+    before anything is factored.
     """
     check_finite(stack, "spectral slices")
     # A nonzero imaginary part in its first row settles that a slice is
     # complex; only the other slices are scanned whole.
     is_real = ~stack.imag[:, :1, :].any(axis=(1, 2))
     is_real[is_real] = ~stack.imag[is_real].any(axis=(1, 2))
-    two_wide = two_wide and len(stack) > 1
     try:
-        if not (two_wide or is_real.any()):
+        if not (is_real.any() or each and len(stack) > 1):
             out = factor(stack, *per_slice)
         else:
-            cuts = np.arange(1, len(stack)) if two_wide else np.flatnonzero(np.diff(is_real)) + 1
+            cuts = np.arange(1, len(stack)) if each else np.flatnonzero(np.diff(is_real)) + 1
             edges = [0, *cuts.tolist(), len(stack)]
             out = [np.empty(stack.shape[:1] + shape, np.complex128 if len(shape) == 2 else np.float64)
                    for shape in shapes]
@@ -397,7 +398,11 @@ def _factor_slices(stack: np.ndarray, factor, shapes, *per_slice: np.ndarray, tw
                 for o, p in zip(out, (got,) if isinstance(got, np.ndarray) else got):
                     o[run] = p
 
-            _map(piece, len(edges) - 1, two_wide)
+            if each:
+                _each_slice(piece, stack)
+            else:
+                for r in range(len(edges) - 1):
+                    piece(r)
             out = out[0] if len(out) == 1 else tuple(out)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
@@ -409,16 +414,16 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     """SVD of every slice of a ``(slices, n1, n2)`` spectral stack.
 
     Returns what ``numpy.linalg.svd`` returns for the stack: ``(u, s, vh)``
-    with ``u`` and ``vh`` complex, or ``s`` alone.  Each run of consecutive
-    slices of one kind is factored in place, as a view of the stack
-    (:func:`_factor_slices`), so no slice is copied out.  A slice whose
-    imaginary part is exactly zero is factored as a real matrix, so its
-    factors have a zero imaginary part; :func:`fft_stack` makes every real
-    slice exactly real.  An all-zero slice gets identity factors.  When
-    :func:`_two_wide` allows, the slices of a call with ``compute_uv`` are
-    shared with the helper thread, one at a time, with the same bytes.  A
-    call made while the helper runs, as in the solver's shared pieces,
-    stays on its caller, as does a values-only one (no slower measured).
+    with ``u`` and ``vh`` complex, or ``s`` alone.  Every slice is factored
+    in place, as a view of the stack (:func:`_factor_slices`), so no slice
+    is copied out: one slice at a time with ``compute_uv``, written into the
+    outputs this call allocates, and each run of consecutive slices of one
+    kind for the values alone.  A slice whose imaginary part is exactly zero
+    is factored as a real matrix, so its factors have a zero imaginary part;
+    :func:`fft_stack` makes every real slice exactly real.  An all-zero
+    slice gets identity factors.  The slices of a call with ``compute_uv``
+    may be shared with the helper thread (:func:`_each_slice`), with the
+    same bytes; a values-only call stays on its caller (no slower measured).
 
     Raises
     ------
@@ -431,7 +436,7 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     k = min(n1, n2)
     u, vh = ((n1, n1), (n2, n2)) if full_matrices else ((n1, k), (k, n2))
     return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv),
-                          (u, (k,), vh) if compute_uv else ((k,),), two_wide=compute_uv and _two_wide(n1, n2))
+                          (u, (k,), vh) if compute_uv else ((k,),), each=compute_uv)
 
 
 def _range_svd(a: np.ndarray, v: np.ndarray):
@@ -489,7 +494,7 @@ class SamplingOperator:
     @classmethod
     def bernoulli(cls, dims, rate: float, seed: int) -> "SamplingOperator":
         """Seeded independent Bernoulli(``rate``) mask over the given dims."""
-        if not isinstance(rate, numbers.Real) or not 0.0 <= rate <= 1.0:
+        if not isinstance(rate, numbers.Real) or isinstance(rate, bool) or not 0.0 <= rate <= 1.0:
             raise DataError(f"sampling rate must lie in [0, 1], got {rate!r}")
         return cls(seeded_rng(seed).random(tuple(dims)) < rate)
 

@@ -32,11 +32,11 @@ def assert_same_solve(y, mask, rho, max_iter, positivity=False):
     return report
 
 
-# The last three cases are batch edges of the shrink step at its batch size
-# of ceil(slices / 8): 11 stored slices, the last batch one slice short; 9
-# stored slices, the last batch the real slice n3/2 alone; and order 4 with
-# real slices 0, 2, 16 and 18 of 20, so that the first batch holds two real
-# slices around a complex one.
+# The last three cases are batch edges of the partial shrink step and its
+# basis, at a batch size of ceil(slices / 8): 11 stored slices, the last
+# batch one slice short; 9 stored slices, the last batch the real slice n3/2
+# alone; and order 4 with real slices 0, 2, 16 and 18 of 20, so that the
+# first batch holds two real slices around a complex one.
 BATCH_EDGES = [(24, 24, 21), (24, 20, 16), (16, 16, 4, 8)]
 BATCH_EDGE_IDS = ["batch-remainder", "real-only-batch", "order4-scattered-real"]
 

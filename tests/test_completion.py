@@ -48,7 +48,7 @@ class TestSvt:
         with pytest.raises(DimensionError, match="svt expects a matrix, got order 3"):
             completion.svt(np.ones((2, 2, 2)), 1.0)
 
-    @pytest.mark.parametrize("tau", [1j, "1", None])
+    @pytest.mark.parametrize("tau", [1j, "1", None, True, False])
     def test_non_real_threshold_rejected(self, tau):
         with pytest.raises(DataError, match="threshold must be nonnegative"):
             completion.svt(np.eye(2), tau)
@@ -95,7 +95,7 @@ class TestShrinkStep:
         out = completion.shrink_step(np.zeros((3, 3, 4), dtype=complex), 0.5)
         assert np.array_equal(out, np.zeros((3, 3, 4), dtype=complex))
 
-    @pytest.mark.parametrize("tau", [-0.1, np.nan, None, 1j, "1"])
+    @pytest.mark.parametrize("tau", [-0.1, np.nan, None, 1j, "1", True, False])
     def test_bad_threshold_rejected(self, tau):
         with pytest.raises(DataError, match="threshold must be nonnegative"):
             completion.shrink_step(np.zeros((3, 3, 4), dtype=complex), tau)
@@ -166,8 +166,9 @@ class TestRankAdaptiveShrink:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Slices factored by each path; the shrink step factors a stack
-        batch by batch, so a whole factorization of a stack of ``m`` slices
-        counts ``m``."""
+        slice by slice on the full path and batch by batch on the partial
+        one, so a whole factorization of a stack of ``m`` slices counts
+        ``m``."""
         counts = {"full": 0, "partial": 0}
         for name, key in (("svd_slices", "full"), ("partial_svd_slices", "partial")):
             original = getattr(transforms, name)
@@ -424,8 +425,8 @@ class TestComplete:
 
     def test_solve_holds_one_batch_of_factors(self):
         """A solve holds x, z, q, the half spectrum, the observed entries
-        and their flat positions (about 5 tensors), plus the factors of one
-        batch of slices or the narrow factors of the partial path; whole-stack
+        and their flat positions (about 5 tensors), plus one slice's factors
+        per thread or the narrow factors of the partial path; whole-stack
         slice factors would take it past 9."""
         peak, report = self.traced_peak((32, 32, 24), 2, completion.AdmmConfig(rho=0.02))
         assert report.converged
@@ -541,6 +542,20 @@ class TestTwoWide:
     def test_blas_threads(self, blas, environ, threads):
         assert transforms._blas_threads(blas, environ) == threads
 
+    @pytest.mark.parametrize("config", [{}, None])
+    def test_blas_name_unknown(self, monkeypatch, config):
+        """A numpy whose build configuration names no BLAS."""
+        monkeypatch.setattr(np, "show_config", lambda mode: config)
+        assert transforms._blas_name() == ""
+
+    def test_usable_cores_without_affinity(self, monkeypatch):
+        """A platform without sched_getaffinity counts every core, or one."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert transforms._usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert transforms._usable_cores() == 1
+
     def test_worker_from_the_machine(self, monkeypatch):
         monkeypatch.setattr(transforms, "_usable_cores", lambda: 2)
         monkeypatch.setattr(transforms, "_blas_name", lambda: "scipy-openblas")
@@ -573,10 +588,17 @@ class TestTwoWide:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
-    def test_map_keeps_order(self):
-        assert transforms._map(lambda i: i * i, 9, True) == [i * i for i in range(9)]
+    @staticmethod
+    def each_slice(monkeypatch, fn, count):
+        """``transforms._each_slice`` over a stack of ``count`` slices, with
+        the helper thread forced on."""
+        monkeypatch.setattr(transforms, "_two_wide_pays", lambda *facts: True)
+        return transforms._each_slice(fn, np.empty((count, 1, 1)))
 
-    def test_map_runs_in_the_callers_error_state(self):
+    def test_map_keeps_order(self, monkeypatch):
+        assert self.each_slice(monkeypatch, lambda i: i * i, 9) == [i * i for i in range(9)]
+
+    def test_map_runs_in_the_callers_error_state(self, monkeypatch):
         both = threading.Barrier(2)
 
         def fn(i):
@@ -584,11 +606,11 @@ class TestTwoWide:
             return threading.get_ident(), np.geterr()["divide"]
 
         with np.errstate(divide="raise"):
-            got = transforms._map(fn, 2, True)
+            got = self.each_slice(monkeypatch, fn, 2)
         assert got[0][0] != got[1][0]
         assert [state for _, state in got] == ["raise", "raise"]
 
-    def test_map_raises_the_first_error_once_both_threads_stop(self):
+    def test_map_raises_the_first_error_once_both_threads_stop(self, monkeypatch):
         started, calls, finished = threading.Event(), [], []
 
         def fn(i):
@@ -602,18 +624,18 @@ class TestTwoWide:
             raise DataError("second")
 
         with pytest.raises(NumericalError, match="first"):
-            transforms._map(fn, 6, True)
+            self.each_slice(monkeypatch, fn, 6)
         assert finished == [1]
         assert sorted(calls) == [0, 1]
 
-    def test_map_raises_an_error_of_either_thread(self):
+    def test_map_raises_an_error_of_either_thread(self, monkeypatch):
         def fn(i):
             if i == 3:
                 raise DataError("late")
             return i
 
         with pytest.raises(DataError, match="late"):
-            transforms._map(fn, 6, True)
+            self.each_slice(monkeypatch, fn, 6)
 
 
 class TestConfigValidation:
@@ -626,7 +648,7 @@ class TestConfigValidation:
             completion.AdmmConfig(tol_primal=0.0)
 
     @pytest.mark.parametrize("field", ["rho", "tol_primal"])
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0, "1", None, 1j])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0, "1", None, 1j, True])
     def test_non_finite_or_negative(self, field, value):
         """Also a value that is not a real number at all."""
         with pytest.raises(DataError, match=f"{field} must be positive and finite"):
@@ -636,7 +658,7 @@ class TestConfigValidation:
         with pytest.raises(DataError):
             completion.AdmmConfig(max_iter=0)
 
-    @pytest.mark.parametrize("value", [2.5, float("nan"), 3.0, "3", None])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), 3.0, "3", None, True])
     def test_non_integer_max_iter(self, value):
         with pytest.raises(DataError, match="max_iter must be an integer"):
             completion.AdmmConfig(max_iter=value)

@@ -77,7 +77,7 @@ class TestKForRatio:
         with pytest.raises(InfeasibleError):
             compression.k_for_ratio("svd", (10, 10, 10), 0.5)
 
-    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 1 - 1e-16, 1j, "2"])
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 1 - 1e-16, 1j, "2", True])
     def test_nonfinite_or_low_target_rejected(self, target):
         for method in compression.METHODS:
             with pytest.raises(InfeasibleError):
@@ -251,6 +251,12 @@ class TestCompressSweep:
             assert factorizations == {"t_svd": 0, "svd": 1}
         else:
             assert factorizations["t_svd"] == 1
+
+    @pytest.mark.parametrize("method", compression.METHODS)
+    def test_empty_sweep_factors_nothing(self, method, factorizations):
+        m = np.random.default_rng(16).standard_normal((5, 4, 6))
+        assert list(compression.compress_sweep(m, method, [])) == []
+        assert factorizations == {"t_svd": 0, "svd": 0}
 
     @pytest.mark.parametrize("method", compression.METHODS)
     def test_bad_k_fails_before_factoring(self, method, factorizations):

@@ -213,7 +213,7 @@ def test_rank_measures_follow_the_scale(scale):
 
 
 class TestRankMeasuresTol:
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300, 1j, "a"])
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300, 1j, "a", True, False])
     def test_bad_tol_raises_before_factoring(self, tol, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("factored before checking tol")
@@ -271,7 +271,7 @@ class TestTruncate:
     def test_k_out_of_range(self):
         """Also a k that is not a Python or numpy integer."""
         factors = decomposition.t_svd(np.ones((3, 3, 2)))
-        for k in (0, 4, 1.5, 2.0, "2"):
+        for k in (0, 4, 1.5, 2.0, "2", True):
             with pytest.raises(DimensionError):
                 decomposition.truncate(factors, k)
         assert decomposition.truncate(factors, np.int64(3)).shape == (3, 3, 2)

@@ -712,10 +712,11 @@ class TestCompressedFile:
             ("svd", 2, lambda blob: with_field(blob, 6, 0)),
             ("tsvd", 5, lambda blob: with_field(blob, RECORDS_AT, 4)[:-9]),
             ("svd", 2, lambda blob: with_field(blob, RECORDS_AT, 1) + bytes(9)),
+            ("svd", 2, lambda blob: blob[:4] + bytes([99]) + blob[5:]),
         ],
         ids=["truncated-header", "truncated-scalar-block", "truncated-record-table",
              "trailing-bytes", "k-zero", "k-above-max", "order-2", "zero-extent",
-             "tsvd-record-count", "svd-record-count"],
+             "tsvd-record-count", "svd-record-count", "unknown-method-tag"],
     )
     def test_malformed_header_rejected(self, method, k, corrupt):
         m = np.random.default_rng(4).standard_normal((5, 4, 6))

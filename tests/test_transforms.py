@@ -316,10 +316,11 @@ class TestSvdSlices:
 
     def test_runs_are_factored_in_place(self, monkeypatch):
         """At trailing extents (8, 5) the real slices 0 and 4 split the 24
-        stored slices into four runs.  Every array handed to a factorization
-        is a view of the stack (and of the basis), never a gathered copy, and
-        each slice gets the factors of its own SVD, as a real matrix when it
-        is real."""
+        stored slices into four runs: the values-only and partial calls
+        factor one run at a time, the full call one slice at a time.  Every
+        array handed to a factorization is a view of the stack (and of the
+        basis), never a gathered copy, and each slice gets the factors of its
+        own SVD, as a real matrix when it is real."""
         stack = transforms.fft_stack(np.random.default_rng(10).standard_normal((5, 4, 8, 5)))
         real = transforms.real_slices((8, 5))
         assert np.flatnonzero(real).tolist() == [0, 4] and len(stack) == 24
@@ -341,7 +342,7 @@ class TestSvdSlices:
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(transforms, "_range_svd", recording_range_svd)
         partial = transforms.partial_svd_slices(stack, basis)
-        assert shared == [True] * 12
+        assert shared == [True] * (24 + 4 + 4)
         for j in range(24):
             slice_ = stack[j].real if real[j] else stack[j]
             for got, want in zip((u[j], s[j], vh[j]), svd(slice_)):
@@ -431,7 +432,7 @@ class TestSamplingOperator:
         assert 0.2 < a.mask.mean() < 0.6
         with pytest.raises(DataError):
             transforms.SamplingOperator.bernoulli((2, 2, 2), 1.5, seed=0)
-        for rate in ("0.5", None, 0.5j):
+        for rate in ("0.5", None, 0.5j, True, False):
             with pytest.raises(DataError, match="sampling rate must lie in"):
                 transforms.SamplingOperator.bernoulli((2, 2, 2), rate, 0)
 
@@ -445,7 +446,7 @@ class TestSeeds:
     }
 
     @pytest.mark.parametrize("name", SEEDED)
-    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None, [1, 2]])
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None, [1, 2], True, False])
     def test_bad_seed_raises_data_error(self, name, seed):
         with pytest.raises(DataError, match="seed must be a nonnegative integer"):
             self.SEEDED[name](seed)
