@@ -8,8 +8,9 @@ spectral frontal slice (the proximal map of the penalty, threshold
 ``1/rho``), and a unit-step dual update.  Once the iterate has low rank, the
 shrinkage computes only the leading singular triplets of each slice.  The
 factors of the whole spectral stack are never held at once: a full step
-factors one slice per piece, which it may share with the helper thread of
-:mod:`tsvdkit.transforms`, and a partial step a few slices at a time.
+factors pieces of about one 64x64 slice's work, within an eighth of the
+stack, which it may share with the helper thread of
+:mod:`tsvdkit.transforms`, and a partial step an eighth at a time.
 """
 
 from __future__ import annotations
@@ -98,15 +99,15 @@ def svt(w, tau: float) -> np.ndarray:
 
 # The partial shrink step factors and rewrites a spectral stack one batch of
 # ceil(slices / _BATCHES) stored slices at a time, from a basis held per
-# batch, so that slice factors are never held for the whole stack.
+# batch, so that slice factors are never held for the whole stack; a full
+# step's pieces stay within a batch.
 _BATCHES = 8
 
 # Right-basis columns kept beyond the iterate rank between shrink steps.
 _OVERSAMPLE = 5
 
 def _batches(count: int) -> list[slice]:
-    size = -(-count // _BATCHES)
-    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    return transforms._pieces([0, count], -(-count // _BATCHES))
 
 
 def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> int:
@@ -126,35 +127,39 @@ def _write(slices: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray, tau
 
 def _shrink(stack: np.ndarray, tau: float, keep: int = 0):
     """svt on every slice of a contiguous complex128 stack, in place, from
-    full slice SVDs, one slice per piece (:func:`transforms._each_slice`,
-    which may share them with the helper thread).
+    full slice SVDs, piece by piece (:func:`transforms._each_piece`, which
+    may share them with the helper thread).  A piece is at most
+    :func:`transforms._piece_size` consecutive slices of one batch
+    (:func:`_batches`), so a batch's basis joins whole pieces.
 
     Returns the thresholded singular values (one row per slice), the rank
     (the largest per-slice count of ``sigma > tau``), and, one array per
-    batch of the partial path (:func:`_batches`), the leading ``keep`` right
-    singular vectors of its slices, or None when the rank is above ``keep -
-    _OVERSAMPLE``.  A threshold that is not a real number ``>= 0`` raises
-    ``DataError``; an infinite one gives 0.
+    batch of the partial path, the leading ``keep`` right singular vectors
+    of its slices, or None when the rank is above ``keep - _OVERSAMPLE``.
+    A threshold that is not a real number ``>= 0`` raises ``DataError``; an
+    infinite one gives 0.
     """
     if not isinstance(tau, numbers.Real) or isinstance(tau, bool) or not tau >= 0:
         raise DataError(f"threshold must be nonnegative, got {tau!r}")
-    shrunk = np.empty((len(stack), min(stack.shape[1:])))
+    count, n1, n2 = stack.shape
+    shrunk = np.empty((count, min(n1, n2)))
+    batches = _batches(count)
+    pieces = transforms._pieces([b.start for b in batches] + [count], transforms._piece_size(n1, n2))
 
-    def factor(i: int):
-        piece = stack[i:i + 1]
-        u, s, vh = transforms.svd_slices(piece, full_matrices=False)
-        rank = _write(piece, u, s, vh, tau)
-        shrunk[i] = s[0]
-        # A slice over the cap copies nothing; the copies of the others go
-        # unused when any slice is.
+    def factor(piece: slice):
+        u, s, vh = transforms.svd_slices(stack[piece], full_matrices=False)
+        rank = _write(stack[piece], u, s, vh, tau)
+        shrunk[piece] = s
+        # A piece over the cap copies nothing; the copies of the others go
+        # unused when any piece is.
         return rank, vh[:, :keep].copy() if rank + _OVERSAMPLE <= keep else None
 
-    results = transforms._each_slice(factor, stack)
+    results = transforms._each_piece(factor, pieces, n1, n2)
     rank = max(r for r, _ in results)
     if rank + _OVERSAMPLE > keep:
         return shrunk, rank, None
-    vhs = [vh for _, vh in results]
-    return shrunk, rank, [np.concatenate(vhs[batch]) for batch in _batches(len(stack))]
+    vhs = [[vh for piece, (_, vh) in zip(pieces, results) if piece.start in range(b.start, b.stop)] for b in batches]
+    return shrunk, rank, [np.concatenate(batch) for batch in vhs]
 
 
 class _RankAdaptiveShrink:
@@ -177,8 +182,7 @@ class _RankAdaptiveShrink:
     partial path works batch by batch on the caller, its batches being too
     small to gain from the helper thread's handoffs; it keeps the narrow
     factors of every batch until all slices pass the check, then writes
-    them.  The full path is :func:`_shrink`, one slice per piece, which may
-    share its slices.
+    them.  The full path is :func:`_shrink`, which may share its pieces.
     """
 
     def __init__(self, n1: int, n2: int):

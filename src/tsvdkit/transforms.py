@@ -29,13 +29,12 @@ Overflow is never a numpy warning: the transforms and the slice
 factorizations let it come out non-finite, and :func:`check_finite` reports
 it as a ``NumericalError``, here for every singular value factored.
 
-A full slice factorization, one with singular vectors, takes one slice per
-piece, on one thread or two: :func:`_each_slice` runs the pieces, and shares
-them with a helper thread, with the same results, when :func:`_two_wide`
-finds a core to spare and no other call holds the one helper a process runs.
-:func:`svd_slices` with vectors and the solver's full shrink step run their
-pieces through it.  Values-only and partial factorizations take one run of
-like slices per piece, on the caller.
+A full slice factorization, one with singular vectors, takes pieces of
+about one 64x64 slice's work, on one thread or two (:func:`_pieces`), which
+:func:`_each_piece` shares with a helper thread, with the same results, when
+:func:`_two_wide` finds a core to spare and no other call holds the one
+helper a process runs.  Values-only and partial factorizations take one run
+of like slices per piece, on the caller.
 """
 
 from __future__ import annotations
@@ -238,11 +237,13 @@ def check_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-# The smallest slice work, n1 * n2 * min(n1, n2) as for a slice SVD, at which
-# a helper thread pays for its handoffs: that of a 64x64 slice.  Measured on 2
-# cores (solves of n x n x 40, helper against none): 0.86-0.89x at n = 64,
-# 0.95-1.02x at 56, about 0.98x at 40 and 48, 1.18x at 32.
-_TWO_WIDE_MIN_WORK = 64**3
+# The work of a piece of a full slice factorization, n1 * n2 * min(n1, n2)
+# summed over its slices: that of a 64x64 slice, enough for the numpy call and
+# handoff of a piece to cost little beside it.  Only a slice of at least this
+# work pays to share with a helper thread.  Measured on 2 cores (solves of n x
+# n x 40, helper against none): 0.86-0.89x at n = 64, 0.95-1.02x at 56, about
+# 0.98x at 40 and 48, 1.18x at 32.
+_PIECE_WORK = 64**3
 
 # The environment variables each BLAS library takes its thread count from,
 # in the order it reads them, by a substring of numpy's BLAS build name.
@@ -261,7 +262,7 @@ def _two_wide_pays(cores: int, blas_threads: int | None, n1: int, n2: int, sibli
     return (
         cores >= 2
         and blas_threads == 1
-        and n1 * n2 * min(n1, n2) >= _TWO_WIDE_MIN_WORK
+        and n1 * n2 * min(n1, n2) >= _PIECE_WORK
         and not siblings
     )
 
@@ -317,21 +318,32 @@ def _two_wide(n1: int, n2: int) -> bool:
 _helper = threading.Lock()
 
 
-def _each_slice(fn, stack: np.ndarray) -> list:
-    """``[fn(i) for i in range(len(stack))]``, on the caller and, when
-    :func:`_two_wide` allows for the stack's slices and no other call holds
+def _piece_size(n1: int, n2: int) -> int:
+    """The slices of ``n1 x n2`` that fit in :data:`_PIECE_WORK`, at least one."""
+    return max(1, _PIECE_WORK // max(1, n1 * n2 * min(n1, n2)))
+
+
+def _pieces(edges: list[int], size: int) -> list[slice]:
+    """Each run of slices between consecutive ``edges``, cut from its start
+    into pieces of at most ``size`` slices."""
+    return [slice(a, min(a + size, stop)) for start, stop in zip(edges, edges[1:]) for a in range(start, stop, size)]
+
+
+def _each_piece(fn, pieces: list[slice], n1: int, n2: int) -> list:
+    """``[fn(piece) for piece in pieces]``, on the caller and, when
+    :func:`_two_wide` allows for ``n1 x n2`` slices and no other call holds
     one, a helper thread started for this call and joined before it returns.
 
-    Each thread takes the next index as it finishes one, so a helper given
+    Each thread takes the next piece as it finishes one, so a helper given
     less of a core holds up at most one call.  The helper runs ``fn`` in a
     copy of the caller's context (numpy's error state is context-local).  An
-    error is the one the loop raises, that of the first failing index,
-    raised once both threads have stopped; neither takes an index after an
+    error is the one the loop raises, that of the first failing piece,
+    raised once both threads have stopped; neither takes a piece after an
     error.
     """
-    count = len(stack)
-    if count < 2 or not _two_wide(*stack.shape[1:]) or not _helper.acquire(blocking=False):
-        return [fn(i) for i in range(count)]
+    count = len(pieces)
+    if count < 2 or not _two_wide(n1, n2) or not _helper.acquire(blocking=False):
+        return [fn(piece) for piece in pieces]
     results = [None] * count
     errors = {}
     claims = itertools.count()  # next() on it is atomic under the interpreter lock
@@ -341,7 +353,7 @@ def _each_slice(fn, stack: np.ndarray) -> list:
             if i >= count or errors:
                 return
             try:
-                results[i] = fn(i)
+                results[i] = fn(pieces[i])
             except Exception as exc:
                 errors[i] = exc
 
@@ -359,50 +371,48 @@ def _each_slice(fn, stack: np.ndarray) -> list:
     return results
 
 
-def _factor_slices(stack: np.ndarray, factor, shapes, *per_slice: np.ndarray, each: bool = False):
+def _factor_slices(stack: np.ndarray, factor, shapes, *per_slice: np.ndarray, full: bool = False):
     """Apply a batched factorization to a complex128 spectral stack, piece by
     piece, and write its outputs slice by slice.
 
-    With ``each``, as for the full SVDs with singular vectors, every slice
-    is a piece of its own, run by :func:`_each_slice`, which may share them
-    with the helper thread; a thread then holds one slice's factors at a
-    time.  Otherwise each maximal run of consecutive slices of one kind is a
-    piece, on the caller.
-
-    A slice whose imaginary part is exactly zero is real.  Each piece is
-    factored in place, as a view of the stack, with the same view of each
-    ``per_slice`` operand; a real piece is factored from ``.real`` views, so
-    its factors are real.  ``shapes`` gives each output's shape per slice:
-    a matrix factor is complex128 and singular values are float64.  A stack
-    that is one complex piece has its factors returned as ``factor`` gives
-    them; any other stack's are written into outputs that are allocated
-    before anything is factored.
+    A slice whose imaginary part is exactly zero is real.  A piece is a run
+    of like slices: for a ``full`` factorization, as the SVDs with singular
+    vectors are, of at most :func:`_piece_size` slices, run by
+    :func:`_each_piece`, which may share them with the helper thread; else
+    a whole run, on the caller.  Each piece is factored in place, as a view
+    of the stack, with the same view of each ``per_slice`` operand; a real
+    piece is factored from ``.real`` views, so its factors are real.
+    ``shapes`` gives each output's shape per slice: a matrix factor is
+    complex128 and singular values are float64.  A stack that is one complex
+    piece has its factors returned as ``factor`` gives them; any other
+    stack's are written into outputs that are allocated before anything is
+    factored.
     """
     check_finite(stack, "spectral slices")
     # A nonzero imaginary part in its first row settles that a slice is
     # complex; only the other slices are scanned whole.
     is_real = ~stack.imag[:, :1, :].any(axis=(1, 2))
     is_real[is_real] = ~stack.imag[is_real].any(axis=(1, 2))
+    count, n1, n2 = stack.shape
+    size = _piece_size(n1, n2) if full else count
     try:
-        if not (is_real.any() or each and len(stack) > 1):
+        if count <= size and not is_real.any():
             out = factor(stack, *per_slice)
         else:
-            cuts = np.arange(1, len(stack)) if each else np.flatnonzero(np.diff(is_real)) + 1
-            edges = [0, *cuts.tolist(), len(stack)]
+            pieces = _pieces([0, *(np.flatnonzero(np.diff(is_real)) + 1).tolist(), count], size)
             out = [np.empty(stack.shape[:1] + shape, np.complex128 if len(shape) == 2 else np.float64)
                    for shape in shapes]
 
-            def piece(r: int):
-                run = slice(edges[r], edges[r + 1])
+            def piece(run: slice):
                 got = factor(*(a[run].real if is_real[run.start] else a[run] for a in (stack, *per_slice)))
                 for o, p in zip(out, (got,) if isinstance(got, np.ndarray) else got):
                     o[run] = p
 
-            if each:
-                _each_slice(piece, stack)
+            if full:
+                _each_piece(piece, pieces, n1, n2)
             else:
-                for r in range(len(edges) - 1):
-                    piece(r)
+                for run in pieces:
+                    piece(run)
             out = out[0] if len(out) == 1 else tuple(out)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed to converge: {exc}") from exc
@@ -416,14 +426,15 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     Returns what ``numpy.linalg.svd`` returns for the stack: ``(u, s, vh)``
     with ``u`` and ``vh`` complex, or ``s`` alone.  Every slice is factored
     in place, as a view of the stack (:func:`_factor_slices`), so no slice
-    is copied out: one slice at a time with ``compute_uv``, written into the
-    outputs this call allocates, and each run of consecutive slices of one
-    kind for the values alone.  A slice whose imaginary part is exactly zero
-    is factored as a real matrix, so its factors have a zero imaginary part;
-    :func:`fft_stack` makes every real slice exactly real.  An all-zero
-    slice gets identity factors.  The slices of a call with ``compute_uv``
-    may be shared with the helper thread (:func:`_each_slice`), with the
-    same bytes; a values-only call stays on its caller (no slower measured).
+    is copied out: with ``compute_uv``, in pieces of about one 64x64 slice's
+    work, written into the outputs this call allocates, and for the values
+    alone, each run of consecutive slices of one kind.  A slice whose
+    imaginary part is exactly zero is factored as a real matrix, so its
+    factors have a zero imaginary part; :func:`fft_stack` makes every real
+    slice exactly real.  An all-zero slice gets identity factors.  The
+    pieces of a call with ``compute_uv`` may be shared with the helper
+    thread (:func:`_each_piece`), with the same bytes; a values-only call
+    stays on its caller (no slower measured).
 
     Raises
     ------
@@ -436,7 +447,7 @@ def svd_slices(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool =
     k = min(n1, n2)
     u, vh = ((n1, n1), (n2, n2)) if full_matrices else ((n1, k), (k, n2))
     return _factor_slices(stack, lambda a: np.linalg.svd(a, full_matrices, compute_uv),
-                          (u, (k,), vh) if compute_uv else ((k,),), each=compute_uv)
+                          (u, (k,), vh) if compute_uv else ((k,),), full=compute_uv)
 
 
 def _range_svd(a: np.ndarray, v: np.ndarray):

@@ -425,7 +425,7 @@ class TestComplete:
 
     def test_solve_holds_one_batch_of_factors(self):
         """A solve holds x, z, q, the half spectrum, the observed entries
-        and their flat positions (about 5 tensors), plus one slice's factors
+        and their flat positions (about 5 tensors), plus one piece's factors
         per thread or the narrow factors of the partial path; whole-stack
         slice factors would take it past 9."""
         peak, report = self.traced_peak((32, 32, 24), 2, completion.AdmmConfig(rho=0.02))
@@ -589,14 +589,14 @@ class TestTwoWide:
         assert os.waitstatus_to_exitcode(status) == 0
 
     @staticmethod
-    def each_slice(monkeypatch, fn, count):
-        """``transforms._each_slice`` over a stack of ``count`` slices, with
-        the helper thread forced on."""
+    def each_piece(monkeypatch, fn, count):
+        """``transforms._each_piece`` over ``count`` one-slice pieces, with
+        the helper thread forced on; ``fn`` takes the index of the slice."""
         monkeypatch.setattr(transforms, "_two_wide_pays", lambda *facts: True)
-        return transforms._each_slice(fn, np.empty((count, 1, 1)))
+        return transforms._each_piece(lambda piece: fn(piece.start), [slice(i, i + 1) for i in range(count)], 1, 1)
 
     def test_map_keeps_order(self, monkeypatch):
-        assert self.each_slice(monkeypatch, lambda i: i * i, 9) == [i * i for i in range(9)]
+        assert self.each_piece(monkeypatch, lambda i: i * i, 9) == [i * i for i in range(9)]
 
     def test_map_runs_in_the_callers_error_state(self, monkeypatch):
         both = threading.Barrier(2)
@@ -606,7 +606,7 @@ class TestTwoWide:
             return threading.get_ident(), np.geterr()["divide"]
 
         with np.errstate(divide="raise"):
-            got = self.each_slice(monkeypatch, fn, 2)
+            got = self.each_piece(monkeypatch, fn, 2)
         assert got[0][0] != got[1][0]
         assert [state for _, state in got] == ["raise", "raise"]
 
@@ -624,7 +624,7 @@ class TestTwoWide:
             raise DataError("second")
 
         with pytest.raises(NumericalError, match="first"):
-            self.each_slice(monkeypatch, fn, 6)
+            self.each_piece(monkeypatch, fn, 6)
         assert finished == [1]
         assert sorted(calls) == [0, 1]
 
@@ -635,7 +635,7 @@ class TestTwoWide:
             return i
 
         with pytest.raises(DataError, match="late"):
-            self.each_slice(monkeypatch, fn, 6)
+            self.each_piece(monkeypatch, fn, 6)
 
 
 class TestConfigValidation:

@@ -316,8 +316,8 @@ class TestSvdSlices:
 
     def test_runs_are_factored_in_place(self, monkeypatch):
         """At trailing extents (8, 5) the real slices 0 and 4 split the 24
-        stored slices into four runs: the values-only and partial calls
-        factor one run at a time, the full call one slice at a time.  Every
+        stored slices into four runs, and every call factors one run at a
+        time: 5x4 slices are far below one piece's work.  Every
         array handed to a factorization is a view of the stack (and of the
         basis), never a gathered copy, and each slice gets the factors of its
         own SVD, as a real matrix when it is real."""
@@ -342,7 +342,7 @@ class TestSvdSlices:
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(transforms, "_range_svd", recording_range_svd)
         partial = transforms.partial_svd_slices(stack, basis)
-        assert shared == [True] * (24 + 4 + 4)
+        assert shared == [True] * (4 + 4 + 4)
         for j in range(24):
             slice_ = stack[j].real if real[j] else stack[j]
             for got, want in zip((u[j], s[j], vh[j]), svd(slice_)):
@@ -350,6 +350,31 @@ class TestSvdSlices:
             assert np.array_equal(s_only[j], svd(slice_, compute_uv=False))
             for got, want in zip(partial, range_svd(slice_[None], basis[j, None].real if real[j] else basis[j, None])):
                 assert np.array_equal(got[j], want[0])
+
+    @pytest.mark.parametrize("dims,calls", [((64, 64, 16), 9), ((16, 16, 400), 6), ((4, 4, 20000), 5)])
+    def test_full_pieces_hold_one_64x64_slices_work(self, monkeypatch, dims, calls):
+        """A slice of 64x64 is a piece of its own.  Smaller ones gather, by
+        runs of like slices, into pieces of as many as fit in its work: 64
+        slices of 16x16 and 4096 of 4x4, so the 199 complex slices of
+        16x16x400 take four pieces and the 9999 of 4x4x20000 three, beside
+        the two real slices.  The factors are those of one call per slice."""
+        monkeypatch.setattr(transforms, "_two_wide_pays", lambda *facts: False)
+        stack = transforms.fft_stack(np.random.default_rng(12).standard_normal(dims))
+        svd, sizes = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            sizes.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        u, s, vh = transforms.svd_slices(stack, full_matrices=False)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert len(sizes) == calls and sum(sizes) == len(stack)
+        assert max(sizes) == transforms._piece_size(*dims[:2]) == 64**3 // (dims[0] ** 3)
+        for j in range(0, len(stack), 97):
+            slice_ = stack[j].real if j in (0, len(stack) - 1) else stack[j]
+            for got, want in zip((u[j], s[j], vh[j]), svd(slice_, full_matrices=False)):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n1,n2", [(3, 2), (2, 3)])
     def test_empty_stack(self, n1, n2):

@@ -21,10 +21,16 @@ from tsvdkit.errors import NumericalError
 import test_admm_bit_identity as bit_identity
 import test_completion
 
+PIECE_WORK = transforms._PIECE_WORK
+
 
 @pytest.fixture(autouse=True, params=[False, True], ids=["serial", "two-wide"])
 def two_wide(request, monkeypatch):
+    """Forced on, every slice counts as large enough to be a piece of its own
+    and to be shared, as only slices of at least ``_PIECE_WORK`` are."""
     monkeypatch.setattr(transforms, "_two_wide_pays", lambda *facts: request.param)
+    if request.param:
+        monkeypatch.setattr(transforms, "_PIECE_WORK", 1)
     return request.param
 
 
@@ -101,6 +107,7 @@ def test_no_helper_outlives_the_solve():
 
 def forced_off(monkeypatch):
     monkeypatch.setattr(transforms, "_two_wide_pays", lambda *facts: False)
+    monkeypatch.setattr(transforms, "_PIECE_WORK", PIECE_WORK)
 
 
 def helpers_in_svd(monkeypatch) -> list:
