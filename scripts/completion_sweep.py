@@ -18,7 +18,9 @@ import sys
 
 import numpy as np
 
+from tsvdkit import cli
 from tsvdkit.completion import AdmmConfig, complete
+from tsvdkit.errors import TsvdkitError
 from tsvdkit.synthesis import random_low_tubal_rank
 from tsvdkit.transforms import SamplingOperator
 
@@ -38,13 +40,25 @@ def parse_args(argv=None):
     parser.add_argument("--max-iter", type=int, default=500)
     parser.add_argument("--tol", type=float, default=1e-7)
     parser.add_argument("--out", default="completion_sweep.csv")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    return args
 
 
 def main(argv=None) -> int:
+    """Run the sweep; a bad argument or a failed run prints one ``error:``
+    line and returns the CLI's exit code for it."""
     args = parse_args(argv)
-    dims = tuple(int(d) for d in args.dims.lower().split("x"))
-    rates = [float(r) for r in args.rates.split(",")]
+    try:
+        return sweep(args)
+    except (TsvdkitError, OSError) as exc:
+        return cli.exit_code(exc)
+
+
+def sweep(args) -> int:
+    dims = cli.parse_dims(args.dims)
+    rates = cli.parse_list(args.rates, "--rates", float)
     config = AdmmConfig(rho=args.rho, max_iter=args.max_iter, tol_primal=args.tol)
 
     rows = []

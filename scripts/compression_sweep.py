@@ -16,8 +16,8 @@ import argparse
 import csv
 import sys
 
-from tsvdkit import compression, fileio
-from tsvdkit.errors import InfeasibleError
+from tsvdkit import cli, compression, fileio
+from tsvdkit.errors import InfeasibleError, TsvdkitError
 from tsvdkit.synthesis import random_low_tubal_rank
 
 # The CSV columns, also written when every target is infeasible.
@@ -43,7 +43,7 @@ def load_tensor(args):
         return fileio.read_tensor(args.input)
     import numpy as np
 
-    dims = tuple(int(d) for d in args.dims.lower().split("x"))
+    dims = cli.parse_dims(args.dims)
     tensor = random_low_tubal_rank(dims, args.rank, seed=args.seed)
     if args.noise > 0:
         rng = np.random.default_rng(args.seed + 1)
@@ -53,9 +53,18 @@ def load_tensor(args):
 
 
 def main(argv=None) -> int:
+    """Run the sweep; a bad argument or a failed run prints one ``error:``
+    line and returns the CLI's exit code for it."""
     args = parse_args(argv)
+    try:
+        return sweep(args)
+    except (TsvdkitError, OSError) as exc:
+        return cli.exit_code(exc)
+
+
+def sweep(args) -> int:
     tensor = load_tensor(args)
-    targets = [float(r) for r in args.ratios.split(",")]
+    targets = cli.parse_list(args.ratios, "--ratios", float)
     methods = [m.strip() for m in args.methods.split(",")]
 
     rows = []

@@ -43,7 +43,7 @@ EXIT_DIVERGED = 3
 EXIT_INFEASIBLE = 4
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.lower().split("x"))
     except ValueError:
@@ -51,11 +51,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return check_dims(dims, "dims")
 
 
-def _parse_k_list(text: str) -> list[int]:
+def parse_list(text: str, flag: str, kind=int) -> list:
     try:
-        return [int(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except ValueError:
-        raise DataError(f"cannot parse --k-list {text!r}; expected e.g. 1,2,4")
+        raise DataError(f"cannot parse {flag} {text!r}; expected e.g. 1,2,4")
 
 
 def _sanitize(value):
@@ -91,7 +91,7 @@ def _emit_metrics(record: dict, path: str | None) -> None:
 # them in the metrics record.
 
 def _cmd_gen(args):
-    dims = _parse_dims(args.dims)
+    dims = parse_dims(args.dims)
     tensor = random_low_tubal_rank(dims, args.rank, args.seed)
     fileio.write_tensor(args.out, tensor)
     return dims, {"rank": args.rank, "seed": args.seed}, {"out": args.out, "frobenius": frobenius(tensor)}
@@ -113,7 +113,7 @@ def _cmd_compress(args):
     if args.k_list is not None:
         if args.out or args.save_compressed:
             raise DataError("--out/--save-compressed are not valid in sweep mode")
-        chosen = _parse_k_list(args.k_list)
+        chosen = parse_list(args.k_list, "--k-list")
         sweep = compression.compress_sweep(tensor, method, chosen)
         # map() drops each result before the sweep builds the next one.
         results = {"sweep": list(map(_compress_record, sweep))}
@@ -267,16 +267,18 @@ def main(argv=None) -> int:
             "wall_time_s": time.perf_counter() - started,
         }
         _emit_metrics(record, args.metrics)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericalError as exc:  # DivergenceError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (TsvdkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exit_code(exc)
     return EXIT_OK
+
+
+def exit_code(exc: Exception) -> int:
+    """Print ``exc`` as one ``error:`` line on stderr and return its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, InfeasibleError):
+        return EXIT_INFEASIBLE
+    # DivergenceError included.
+    return EXIT_DIVERGED if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Tensor file (``TSR1``): magic ``b"TSR1"``, one unsigned byte for the order N,
 N little-endian uint64 extents, then the entries as little-endian IEEE-754
 float64 in first-index-fastest (column-major) order.  Masks reuse the format
-with a {0, 1} payload.
+with a {0, 1} payload.  A file and a blob go through one reader, which checks
+the header against their size before it reads the payload into the array it
+returns.
 
 Compressed file (``TSC1``): magic ``b"TSC1"``, method byte (1=svd, 2=tsvd,
 3=tsvd_tubal), order byte N >= 3, N extents as uint64, uint64 k, uint64
@@ -166,57 +168,46 @@ def write_tensor(path, a: np.ndarray) -> None:
     _write_in_place(path, _tensor_chunks(a))
 
 
-def _tensor_layout(head: bytes, size: int) -> tuple[tuple[int, ...], int]:
-    """Extents and payload offset of a TSR1 blob of ``size`` bytes whose
-    leading bytes are ``head`` (the whole header, if the blob holds one).
-    Checks that the size is exactly what the extents require."""
+def _read_tensor(f, size: int) -> np.ndarray:
+    """Read the TSR1 blob of ``size`` bytes that the binary file ``f`` holds
+    into an owned Fortran-ordered float64 array: the header is checked
+    against the size before the payload is read straight into the array."""
+    head = f.read(5)
     if len(head) < 5 or head[:4] != TENSOR_MAGIC:
         raise FormatError("not a TSR1 tensor file (bad magic)")
     order = head[4]
     if order < 3:
         raise FormatError(f"tensor order must be >= 3, got {order}")
-    header_end = 5 + 8 * order
-    if len(head) < header_end:
+    extents = f.read(8 * order)
+    if len(extents) < 8 * order:
         raise FormatError("truncated tensor header")
-    dims = tuple(int(d) for d in np.frombuffer(head, dtype="<u8", count=order, offset=5))
+    dims = tuple(int(d) for d in np.frombuffer(extents, dtype="<u8"))
     if min(dims) < 1:
         raise FormatError(f"tensor extents must be >= 1, got {dims}")
-    count = math.prod(dims)
-    if size != header_end + 8 * count:
+    payload, need = size - 5 - 8 * order, 8 * math.prod(dims)
+    if payload != need:
         raise FormatError(
-            f"payload length mismatch: file has {size - header_end} bytes, "
-            f"dims {dims} require {8 * count}"
+            f"payload length mismatch: file has {payload} bytes, dims {dims} require {need}"
         )
-    return dims, header_end
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
+    values = np.empty(dims, dtype="<f8", order="F")
+    # Only a file can end early: a blob's size is its length.
+    if f.readinto(values.reshape(-1, order="F")) != values.nbytes:
+        raise FormatError(f"{f.name}: tensor file is shorter than its header declares")
+    values = values.astype(np.float64, copy=False)
     if not np.isfinite(values).all():
         raise DataError("tensor file contains non-finite values")
     return values
 
 
 def tensor_from_bytes(data: bytes) -> np.ndarray:
-    dims, offset = _tensor_layout(data, len(data))
-    payload = np.frombuffer(data, dtype="<f8", offset=offset).reshape(dims, order="F")
-    return _finite(np.array(payload, dtype=np.float64, order="F"))
-
-
-# The longest TSR1 header: order 255.
-_TENSOR_HEADER_MAX = 5 + 8 * 255
+    """Read a TSR1 blob, as :func:`read_tensor` reads a file."""
+    return _read_tensor(io.BytesIO(data), len(data))
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a TSR1 file into an owned Fortran-ordered float64 array: the
-    header is checked against the file size before the payload is read
-    straight into the array."""
+    """Read a TSR1 file into an owned Fortran-ordered float64 array."""
     with open(path, "rb") as f:
-        dims, offset = _tensor_layout(f.read(_TENSOR_HEADER_MAX), os.fstat(f.fileno()).st_size)
-        values = np.empty(dims, dtype="<f8", order="F")
-        f.seek(offset)
-        if f.readinto(values.reshape(-1, order="F")) != values.nbytes:
-            raise FormatError(f"{path}: tensor file is shorter than its header declares")
-    return _finite(values.astype(np.float64, copy=False))
+        return _read_tensor(f, os.fstat(f.fileno()).st_size)
 
 
 def read_mask(path) -> np.ndarray:
@@ -421,10 +412,10 @@ def compressed_from_bytes(data: bytes):
         raise FormatError(
             f"compressed file has {len(data)} bytes, its header declares {end + 9 * n_records}"
         )
-    scalars = np.frombuffer(data[header_end:end], dtype="<f8").astype(np.float64)
+    scalars = np.frombuffer(data, "<f8", count=n_scalars, offset=header_end).astype(np.float64)
     if not np.isfinite(scalars).all():
         raise FormatError("compressed file contains non-finite scalars")
-    meta = list(struct.iter_unpack("<BII", data[end:]))
+    meta = list(struct.iter_unpack("<BII", memoryview(data)[end:]))
     return method, dims, int(k), scalars, meta
 
 

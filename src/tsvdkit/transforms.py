@@ -498,7 +498,8 @@ class SamplingOperator:
             if not np.isin(values, (0, 1)).all():
                 raise DataError("mask entries must all be 0 or 1")
             arr = arr.astype(bool)
-        arr = np.ascontiguousarray(arr)
+        # A view, so that the caller's own array stays writable.
+        arr = np.ascontiguousarray(arr).view()
         arr.setflags(write=False)
         self.mask = arr
 

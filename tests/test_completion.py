@@ -456,6 +456,11 @@ class TestComplete:
         assert report.final_rse_db <= -40.0
         assert np.array_equal(x[mask.mask], truth[mask.mask])
 
+    def test_callers_mask_stays_writable(self):
+        mask = np.random.default_rng(2).random((4, 4, 3)) < 0.5
+        completion.complete(np.zeros((4, 4, 3)), mask, completion.AdmmConfig(max_iter=2))
+        mask[0, 0, 0] = True
+
     def test_rejects_offmask_observations(self):
         mask = np.zeros((3, 3, 3), dtype=bool)
         with pytest.raises(DataError):

@@ -85,6 +85,19 @@ class TestTensorFile:
         # The owned array and the finiteness scan's booleans.
         assert peak <= 1.2 * tensor.nbytes
 
+    def test_blob_read_holds_one_payload(self):
+        tensor = np.random.default_rng(7).standard_normal((64, 64, 32))
+        data = fileio.tensor_to_bytes(tensor)
+        tracemalloc.start()
+        try:
+            back = fileio.tensor_from_bytes(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, tensor) and back.flags.f_contiguous and back.flags.writeable
+        # The blob is read in place: the owned array and the finiteness scan's booleans.
+        assert peak <= 1.2 * tensor.nbytes
+
     @pytest.mark.parametrize(
         "corrupt",
         [lambda d: b"NOPE" + d[4:], lambda d: d[:4], lambda d: d[:20], lambda d: d[:-8],
@@ -684,6 +697,20 @@ class TestCompressedFile:
         with pytest.raises(DimensionError, match="do not match"):
             fileio.write_compressed(path, result, (5, 6, 8))
         assert not path.exists()
+
+    def test_read_holds_the_bytes_and_one_copy(self, tmp_path):
+        m = np.random.default_rng(8).standard_normal((100, 100, 40))
+        result = compression.compress(m, "svd", 40)
+        path = tmp_path / "c.tsc"
+        fileio.write_compressed(path, result, m.shape)
+        tracemalloc.start()
+        try:
+            scalars = fileio.read_compressed(path)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes, the owned scalars, and the finiteness scan's booleans.
+        assert peak <= 2.2 * scalars.nbytes
 
     def test_bad_magic(self):
         with pytest.raises(FormatError):

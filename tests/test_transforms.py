@@ -445,6 +445,12 @@ class TestSamplingOperator:
         once = sampler.apply(x)
         assert np.array_equal(sampler.apply(once), once)
 
+    def test_callers_mask_stays_writable(self):
+        mask = np.ones((2, 2, 3), dtype=bool)
+        sampler = transforms.SamplingOperator(mask)
+        assert not sampler.mask.flags.writeable
+        mask[0, 0, 0] = False
+
     def test_dims_mismatch(self):
         sampler = transforms.SamplingOperator(np.ones((2, 2, 2)))
         with pytest.raises(DimensionError):
