@@ -17,7 +17,7 @@ import csv
 import sys
 
 from tsvdkit import cli, compression, fileio
-from tsvdkit.errors import InfeasibleError, TsvdkitError
+from tsvdkit.errors import DataError, InfeasibleError, TsvdkitError
 from tsvdkit.synthesis import random_low_tubal_rank
 
 # The CSV columns, also written when every target is infeasible.
@@ -66,6 +66,9 @@ def sweep(args) -> int:
     tensor = load_tensor(args)
     targets = cli.parse_list(args.ratios, "--ratios", float)
     methods = [m.strip() for m in args.methods.split(",")]
+    unknown = sorted(set(methods) - set(compression.METHODS))
+    if unknown:
+        raise DataError(f"unknown --methods {unknown}; expected some of {compression.METHODS}")
 
     rows = []
     for method in methods:

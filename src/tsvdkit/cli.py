@@ -55,7 +55,7 @@ def parse_list(text: str, flag: str, kind=int) -> list:
     try:
         return [kind(part) for part in text.split(",")]
     except ValueError:
-        raise DataError(f"cannot parse {flag} {text!r}; expected e.g. 1,2,4")
+        raise DataError(f"cannot parse {flag} {text!r}; expected comma-separated {kind.__name__} values")
 
 
 def _sanitize(value):

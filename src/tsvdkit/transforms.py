@@ -487,7 +487,9 @@ class SamplingOperator:
     """Orthogonal projector onto tensors supported on an observation mask.
 
     The mask is stored dense as booleans; applying the operator keeps observed
-    entries bit-exactly and zeroes the rest, so it is idempotent.
+    entries bit-exactly and zeroes the rest, so it is idempotent.  A mask that
+    is already a C-contiguous boolean array is kept as a read-only view of it:
+    the caller's array stays writable, and a write to it changes the operator.
     """
 
     def __init__(self, mask):
